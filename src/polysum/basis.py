@@ -9,6 +9,11 @@ coefficients come in closed form from the values of f at 0, -1, ..., -n:
 
     c_i = sum_{k=0..i} (-1)^k * f(-k) / (k! * (i-k)!)
 
+from_rising_basis is the one kernel that assembles weights on these products
+into monomials.  Summation is a shift of the weights: by the telescoping
+identity sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i)/(i+1), weight c_i
+moves one product up as c_i/(i+1), and f(0) becomes the weight on m.
+
 solve_interpolation_system recovers the same coefficients by forward
 substitution on the defining linear system instead; it exists as an
 independent oracle for the closed form and is used only by tests.
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import factorial
-from .poly import Polynomial, rising_factorial_basis_poly
+from .poly import ONE, Polynomial
 
 __all__ = [
     "RisingFactorialPoly",
@@ -73,12 +78,12 @@ def to_rising_basis(f: Polynomial) -> RisingFactorialPoly:
 
 def from_rising_basis(r: RisingFactorialPoly) -> Polynomial:
     """Expand constant + sum of weighted rising-factorial products back into
-    the monomial basis."""
+    the monomial basis, extending each product from the previous one."""
     result = Polynomial.constant(r.constant)
-    for i, c in enumerate(r.coeffs, start=1):
-        if c == 0:
-            continue
-        result = result + rising_factorial_basis_poly(i).scale(c)
+    product = ONE
+    for i, c in enumerate(r.coeffs):
+        product = product * Polynomial((i, 1))  # x(x+1)...(x+i)
+        result = result + product.scale(c)
     return result
 
 

@@ -276,7 +276,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
 
     if args.csv:
-        out = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
+        try:
+            out = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
+        except OSError as e:
+            raise _UsageError(f"cannot write --csv {args.csv}: {e.strerror}") from e
         try:
             writer = csv.writer(out)
             writer.writerow(["n", "m", "method", "nanos", "value"])

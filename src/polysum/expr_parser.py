@@ -102,6 +102,9 @@ PolyExpr = Union[Lit, Var, Neg, Add, Sub, Mul, Pow]
 # Tokenizer
 
 _PUNCT = {"+", "-", "*", "^", "(", ")"}
+# str.isdigit also accepts superscripts and other scripts' digits, which
+# int() then rejects or silently reads as ASCII digits.
+_DIGITS = frozenset("0123456789")
 
 
 @dataclass(frozen=True)
@@ -123,15 +126,15 @@ def tokenize(src: str) -> list[_Token]:
             i += 1
             continue
         start_byte = byte_pos
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
             kind = "int"
             # "p/q" is one rational token; '/' exists only inside literals
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1].isdigit():
+            if j < n and src[j] == "/" and j + 1 < n and src[j + 1] in _DIGITS:
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in _DIGITS:
                     j += 1
                 kind = "rational"
             text = src[i:j]

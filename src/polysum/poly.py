@@ -193,10 +193,7 @@ class Polynomial:
                 sym = var if power == 1 else f"{var}^{power}"
                 body = sym if mag == 1 else f"{mag}*{sym}"
             parts.append((c < 0, body))
-        text = ("-" if parts[0][0] else "") + parts[0][1]
-        for negative, body in parts[1:]:
-            text += (" - " if negative else " + ") + body
-        return text
+        return join_signed(parts)
 
 
 # Shared constants; defined after the class so construction is available.
@@ -205,17 +202,20 @@ ONE = Polynomial((1,))
 X = Polynomial((0, 1))
 
 
-def rising_factorial_basis_poly(i: int, shift: int = 0) -> Polynomial:
-    """Expand (x+shift)(x+shift+1)...(x+shift+i-1) into the monomial basis.
+def join_signed(parts: list[tuple[bool, str]]) -> str:
+    """Join (negative, body) terms as "a + b - c", or "-a + b" when the first is negative."""
+    text = ("-" if parts[0][0] else "") + parts[0][1]
+    for negative, body in parts[1:]:
+        text += (" - " if negative else " + ") + body
+    return text
 
-    With shift=0 this is the length-i rising factorial x(x+1)...(x+i-1);
-    the product m(m+1)...(m+i) is the shift=0 product of length i+1.
-    """
+
+def rising_factorial_basis_poly(i: int) -> Polynomial:
+    """Expand the length-i rising factorial x(x+1)...(x+i-1) from scratch; the
+    reference for the incremental products of basis.from_rising_basis."""
     if i < 1:
         raise ValueError(f"rising factorial length must be >= 1 (got {i})")
-    if shift < 0:
-        raise ValueError(f"shift must be >= 0 (got {shift})")
     product = ONE
-    for offset in range(shift, shift + i):
+    for offset in range(i):
         product = product * Polynomial((offset, 1))
     return product

@@ -8,7 +8,9 @@ The expanded form is built without Bernoulli numbers:
 
 with the shortcuts a_1 = -1/2 and a_n = (-1)^n/(n+1) (the latter follows
 from the principal term m^{n+1}/(n+1) and is cheaper than the defining sum;
-strict mode recomputes it and checks agreement).  For n >= 3 the common
+strict mode recomputes it and checks agreement).  These are already the
+telescoped weights: basis.from_rising_basis assembles S_n from weight 0 on m
+and (-1)^n a_i on m(m+1)...(m+i).  For n >= 3 the common
 factor m(m+1) can be pulled out, giving the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
@@ -24,7 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import binomial, factorial
-from .poly import Polynomial, rising_factorial_basis_poly
+from .basis import RisingFactorialPoly, from_rising_basis
+from .poly import ONE, Polynomial, join_signed, rising_factorial_basis_poly
 
 __all__ = [
     "PowerSumCoefficients",
@@ -104,13 +107,9 @@ def power_sum_closed_form(n: int) -> Polynomial:
     """
     if n < 1:
         raise ValueError(f"exponent must be >= 1 (got {n})")
-    a = coefficients(n)
-    total = Polynomial()
-    for i in range(1, n + 1):
-        total = total + rising_factorial_basis_poly(i + 1).scale(a.coefficient(i))
-    if n % 2:
-        total = -total
-    return total
+    sign = -1 if n % 2 else 1
+    weights = (Fraction(0),) + tuple(sign * c for c in coefficients(n).coeffs)
+    return from_rising_basis(RisingFactorialPoly(Fraction(0), weights))
 
 
 @dataclass(frozen=True)
@@ -126,8 +125,10 @@ class FactoredPowerSum:
 
     def inner_polynomial(self) -> Polynomial:
         inner = Polynomial.constant(self.inner_constant)
+        product = ONE
         for i, c in self.inner_coeffs:
-            inner = inner + rising_factorial_basis_poly(i - 1, shift=2).scale(c)
+            product = product * Polynomial((i, 1))  # (m+2)...(m+i)
+            inner = inner + product.scale(c)
         return inner
 
     def expand(self) -> Polynomial:
@@ -147,11 +148,8 @@ class FactoredPowerSum:
             mag = abs(c)
             body = product if mag == 1 else f"{mag}*{product}"
             parts.append((c < 0, body))
-        inner = ("-" if parts[0][0] else "") + parts[0][1]
-        for negative, body in parts[1:]:
-            inner += (" - " if negative else " + ") + body
         sign = "-" if self.sign < 0 else ""
-        return f"{sign}{var}*({var}+1)*({inner})"
+        return f"{sign}{var}*({var}+1)*({join_signed(parts)})"
 
 
 def power_sum_factored_form(n: int) -> FactoredPowerSum:

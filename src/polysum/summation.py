@@ -1,12 +1,12 @@
 """Closed-form summation of polynomial values over 1..m.
 
 For a polynomial f of degree n, the sum g(m) = f(1) + f(2) + ... + f(m) is
-itself a polynomial of degree n+1.  It is assembled from the rising-factorial
-expansion of f together with the telescoping identity
+itself a polynomial of degree n+1.  The telescoping identity
 
-    sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i) / (i+1),
+    sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i) / (i+1)
 
-giving  g(m) = m*f(0) + sum_{i=1..n} c_i/(i+1) * m(m+1)...(m+i).
+shifts the rising-factorial weights c_i of f one product up: g has constant
+0, weight f(0) on m and weight c_i/(i+1) on m(m+1)...(m+i).
 
 Every closed form has zero constant term (g is divisible by m), and
 brute_force_sum is the literal term-by-term reference the closed forms are
@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import to_rising_basis
+from .basis import RisingFactorialPoly, from_rising_basis, to_rising_basis
 from .poly import Polynomial, rising_factorial_basis_poly
 
 __all__ = [
@@ -68,11 +68,8 @@ def sum_rising_factorial(i: int) -> Polynomial:
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f."""
     expansion = to_rising_basis(f)
-    g = Polynomial((0, expansion.constant))  # m * f(0)
-    for i, c in enumerate(expansion.coeffs, start=1):
-        if c == 0:
-            continue
-        g = g + rising_factorial_basis_poly(i + 1).scale(c / (i + 1))
+    weights = (expansion.constant,) + tuple(c / i for i, c in enumerate(expansion.coeffs, start=2))
+    g = from_rising_basis(RisingFactorialPoly(Fraction(0), weights))
     degree = int(f.degree) if f else 0
     return ClosedFormSum(g, degree)
 

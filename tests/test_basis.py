@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_polynomial
+from conftest import random_polynomial, random_rational
 from polysum.basis import (
     RisingFactorialPoly,
     from_rising_basis,
@@ -51,6 +51,25 @@ def test_from_rising_basis_examples():
     assert from_rising_basis(RisingFactorialPoly(Fraction(5), ())) == Polynomial((5,))
     r = RisingFactorialPoly(Fraction(0), (Fraction(0), Fraction(0), Fraction(1)))
     assert from_rising_basis(r) == Polynomial((0, 2, 3, 1))
+
+
+def test_from_rising_basis_matches_from_scratch_products():
+    rng = random.Random(20240813)
+    saw_interior_zero = saw_trailing_zero = False
+    for _ in range(40):
+        degree = rng.randint(0, 40)
+        weights = tuple(
+            random_rational(rng, 50, 50) if rng.random() < 0.5 else Fraction(0)
+            for _ in range(degree)
+        )
+        r = RisingFactorialPoly(random_rational(rng, 50, 50), weights)
+        reference = Polynomial.constant(r.constant)
+        for i, c in enumerate(weights, start=1):
+            reference = reference + rising_factorial_basis_poly(i).scale(c)
+        assert from_rising_basis(r) == reference
+        saw_interior_zero |= Fraction(0) in weights[:-1]
+        saw_trailing_zero |= bool(weights) and weights[-1] == 0
+    assert saw_interior_zero and saw_trailing_zero
 
 
 def test_solve_interpolation_system_examples():

@@ -124,6 +124,14 @@ def test_sum_parse_error_reports_position(capsys):
     assert "byte 3" in err
 
 
+def test_sum_rejects_non_ascii_digits(capsys):
+    code, out, err = run_cli(capsys, "sum", "--expr", "2²")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse --expr")
+    assert "byte 1" in err
+
+
 def test_sum_bounds_must_come_together(capsys):
     code, _, err = run_cli(capsys, "sum", "--expr", "x", "--lo", "1")
     assert code == 2
@@ -213,6 +221,15 @@ def test_bench_rejects_bad_m_list(capsys):
     assert "--m" in err
     code, _, _ = run_cli(capsys, "bench", "--n", "2", "--m", "0")
     assert code == 2
+
+
+def test_bench_unwritable_csv_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(capsys, "bench", "--n", "2", "--m", "5", "--csv", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+    assert not path.exists()
 
 
 def test_bench_rejects_bad_reps(capsys):

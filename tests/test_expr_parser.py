@@ -121,6 +121,16 @@ def test_unexpected_character():
     assert excinfo.value.offset == 2
 
 
+@pytest.mark.parametrize(
+    ("src", "offset"),
+    [("2²", 1), ("x^²", 2), ("x^٣", 2), ("٣x", 0), ("1/٣", 1)],
+)
+def test_only_ascii_digits_are_digits(src, offset):
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    assert excinfo.value.offset == offset
+
+
 def test_unexpected_end_of_input():
     with pytest.raises(ParseError) as excinfo:
         parse("x +")

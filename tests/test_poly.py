@@ -66,12 +66,9 @@ def test_divide_by_zero_polynomial():
 def test_rising_factorial_basis_poly():
     assert rising_factorial_basis_poly(2) == Polynomial((0, 1, 1))
     assert rising_factorial_basis_poly(3) == Polynomial((0, 2, 3, 1))  # x(x+1)(x+2)
-    assert rising_factorial_basis_poly(2, shift=2) == Polynomial((6, 5, 1))
     assert rising_factorial_basis_poly(1) == X
     with pytest.raises(ValueError):
         rising_factorial_basis_poly(0)
-    with pytest.raises(ValueError):
-        rising_factorial_basis_poly(2, shift=-1)
 
 
 def test_ring_axioms_on_random_polynomials():
