@@ -4,8 +4,9 @@ Everything is computed in exact rational arithmetic.  A polynomial f is
 expanded over the rising-factorial basis x(x+1)...(x+i-1); summing each
 basis product telescopes, which turns sum_{x=1..m} f(x) into a polynomial
 in m.  Power sums 1^n + ... + m^n get a specialized expansion that needs no
-Bernoulli numbers (the classical Bernoulli formula is kept only as a
-cross-check oracle), plus a factored form pulling out m(m+1) for n >= 3.
+Bernoulli numbers, plus a factored form pulling out m(m+1) for n >= 3.
+The independent oracles that check these routes (literal sums, the
+Bernoulli formula and others) live in polysum.oracles.
 
 Quick start::
 
@@ -19,68 +20,38 @@ Quick start::
 
 from __future__ import annotations
 
-from .basis import (
-    RisingFactorialPoly,
-    from_rising_basis,
-    solve_interpolation_system,
-    to_rising_basis,
-)
-from .exactnum import binomial, factorial, format_rational
-from .expr_parser import ParseError, evaluate, lower, parse, parse_polynomial
-from .poly import Polynomial, rising_factorial_basis_poly
+from .basis import RisingFactorialPoly, from_rising_basis, to_rising_basis
+from .expr_parser import ParseError, lower, parse, parse_polynomial
+from .poly import Polynomial
 from .powersum import (
     FactoredPowerSum,
     PowerSumCoefficients,
-    alternating_binomial_power_sum,
-    bernoulli_numbers,
-    coefficient_from_sum,
     coefficients,
-    double_sum_closed_form,
-    faulhaber_bernoulli_oracle,
     power_sum_closed_form,
     power_sum_factored_form,
     power_sum_value,
 )
-from .summation import (
-    ClosedFormSum,
-    brute_force_sum,
-    sum_polynomial,
-    sum_range,
-    sum_rising_factorial,
-)
+from .summation import ClosedFormSum, sum_polynomial, sum_range
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial",
-    "rising_factorial_basis_poly",
     "RisingFactorialPoly",
     "to_rising_basis",
     "from_rising_basis",
-    "solve_interpolation_system",
     "ClosedFormSum",
-    "sum_rising_factorial",
     "sum_polynomial",
     "sum_range",
-    "brute_force_sum",
     "PowerSumCoefficients",
     "FactoredPowerSum",
     "coefficients",
-    "coefficient_from_sum",
     "power_sum_closed_form",
     "power_sum_factored_form",
     "power_sum_value",
-    "double_sum_closed_form",
-    "bernoulli_numbers",
-    "faulhaber_bernoulli_oracle",
-    "alternating_binomial_power_sum",
-    "factorial",
-    "binomial",
-    "format_rational",
     "ParseError",
     "parse",
     "lower",
-    "evaluate",
     "parse_polynomial",
     "__version__",
 ]

@@ -5,33 +5,34 @@ Any polynomial f of degree n has a unique expansion
     f(x) = f(0) + sum_{i=1..n} c_i * x(x+1)(x+2)...(x+i-1),
 
 because the rising-factorial products are triangular in degree.  The
-coefficients come in closed form from the values of f at 0, -1, ..., -n:
+coefficients come in closed form from the values v_k = f(-k):
 
-    c_i = sum_{k=0..i} (-1)^k * f(-k) / (k! * (i-k)!)
+    c_i = 1/i! * sum_{k=0..i} (-1)^k * C(i,k) * v_k
+
+rising_weights is the one kernel for this alternating sum.  Fed the ints
+v_k = k^n (the values of (-x)^n), it gives the paper's power-sum weights
+sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) (see powersum).
 
 from_rising_basis is the one kernel that assembles weights on these products
 into monomials.  Summation is a shift of the weights: by the telescoping
 identity sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i)/(i+1), weight c_i
 moves one product up as c_i/(i+1), and f(0) becomes the weight on m.
-
-solve_interpolation_system recovers the same coefficients by forward
-substitution on the defining linear system instead; it exists as an
-independent oracle for the closed form and is used only by tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb, factorial
+from typing import Sequence
 
-from .exactnum import factorial
 from .poly import ONE, Polynomial
 
 __all__ = [
     "RisingFactorialPoly",
+    "rising_weights",
     "to_rising_basis",
     "from_rising_basis",
-    "solve_interpolation_system",
 ]
 
 
@@ -55,6 +56,21 @@ class RisingFactorialPoly:
         return Fraction(0)
 
 
+def rising_weights(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+    """w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) values[k] for i = 1..len(values)-1.
+
+    The values may be ints; the single division per weight keeps them exact.
+    """
+    weights = []
+    for i in range(1, len(values)):
+        total = 0
+        for k in range(i + 1):
+            term = comb(i, k) * values[k]
+            total += -term if k % 2 else term
+        weights.append(Fraction(total, factorial(i)))
+    return tuple(weights)
+
+
 def to_rising_basis(f: Polynomial) -> RisingFactorialPoly:
     """Expand f over the rising-factorial basis via the closed form.
 
@@ -66,14 +82,7 @@ def to_rising_basis(f: Polynomial) -> RisingFactorialPoly:
         return RisingFactorialPoly(Fraction(0), ())
     n = int(f.degree)
     values = [f(-k) for k in range(n + 1)]
-    coeffs = []
-    for i in range(1, n + 1):
-        total = Fraction(0)
-        for k in range(i + 1):
-            term = values[k] / (factorial(k) * factorial(i - k))
-            total += -term if k % 2 else term
-        coeffs.append(total)
-    return RisingFactorialPoly(values[0], tuple(coeffs))
+    return RisingFactorialPoly(values[0], rising_weights(values))
 
 
 def from_rising_basis(r: RisingFactorialPoly) -> Polynomial:
@@ -85,31 +94,3 @@ def from_rising_basis(r: RisingFactorialPoly) -> Polynomial:
         product = product * Polynomial((i, 1))  # x(x+1)...(x+i)
         result = result + product.scale(c)
     return result
-
-
-def solve_interpolation_system(f: Polynomial) -> RisingFactorialPoly:
-    """Recover the rising-factorial coefficients by forward substitution.
-
-    Matching f and its expansion at the points 0, -1, ..., -n gives a
-    lower-triangular system: the length-i product evaluated at -j is
-    (-1)^i * j(j-1)...(j-i+1) for i <= j and 0 for i > j.  Solving row by
-    row yields the coefficients without using the closed form, which makes
-    this an independent cross-check for to_rising_basis.
-    """
-    if not f:
-        return RisingFactorialPoly(Fraction(0), ())
-    n = int(f.degree)
-    l0 = f(0)
-    coeffs: list[Fraction] = []
-    for j in range(1, n + 1):
-        acc = l0
-        falling = 1  # j(j-1)...(j-i+1), built incrementally over i
-        for i in range(1, j):
-            falling *= j - i + 1
-            term = coeffs[i - 1] * falling
-            acc += -term if i % 2 else term
-        diagonal = Fraction(factorial(j))  # the i=j product is j!
-        if j % 2:
-            diagonal = -diagonal
-        coeffs.append((f(-j) - acc) / diagonal)
-    return RisingFactorialPoly(l0, tuple(coeffs))

@@ -14,23 +14,31 @@ import csv
 import json
 import sys
 import time
+from math import factorial
+from typing import Callable
 
-from .exactnum import factorial, format_rational
 from .expr_parser import ParseError, parse_polynomial
+from .oracles import alternating_binomial_power_sum, brute_force_sum
 from .poly import Polynomial
-from .powersum import (
-    power_sum_closed_form,
-    power_sum_factored_form,
-    power_sum_value,
-    alternating_binomial_power_sum,
-)
-from .summation import brute_force_sum, sum_polynomial, sum_range
+from .powersum import power_sum_closed_form, power_sum_factored_form, power_sum_value
+from .summation import sum_polynomial, sum_range
 
 __all__ = ["main"]
 
 
 class _UsageError(Exception):
     pass
+
+
+def _exact_text(render: Callable[[], str]) -> str:
+    """Run one formatting call; Python's int-string digit limit is a usage error."""
+    try:
+        return render()
+    except ValueError as e:
+        raise _UsageError(
+            f"the exact result has a number longer than {sys.get_int_max_str_digits()} "
+            "digits, Python's int-to-string limit; set PYTHONINTMAXSTRDIGITS to allow it"
+        ) from e
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
@@ -63,13 +71,12 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
             "rendering": rendering,
             "sign": form.sign,
             "prefactor": form.prefactor.render(),
-            "inner_constant": format_rational(form.inner_constant),
+            "inner_constant": str(form.inner_constant),
             "inner_terms": [
-                {"length": i, "coefficient": format_rational(c)}
+                {"length": i, "coefficient": str(c)}
                 for i, c in form.inner_coeffs
             ],
         }
-        _emit(args, payload, rendering)
     else:
         rendering = power_sum_closed_form(n).render()
         payload = {
@@ -79,7 +86,7 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
             "variable": "m",
             "polynomial": rendering,
         }
-        _emit(args, payload, rendering)
+    _emit(args, payload, rendering)
     return 0
 
 
@@ -100,7 +107,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         if args.lo > args.hi:
             raise _UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
         value = sum_range(f, args.lo, args.hi)
-        text = format_rational(value)
+        text = _exact_text(lambda: str(value))
         payload = {
             "mode": "value",
             "expr": args.expr,
@@ -111,7 +118,7 @@ def _cmd_sum(args: argparse.Namespace) -> int:
         _emit(args, payload, text)
     else:
         closed = sum_polynomial(f)
-        rendering = closed.poly.render()
+        rendering = _exact_text(closed.poly.render)
         payload = {
             "mode": "closed_form",
             "expr": args.expr,
@@ -127,15 +134,17 @@ def _cmd_sum(args: argparse.Namespace) -> int:
 # verify
 
 
+def _failure(check: str, n: int, expected, got, **where) -> dict:
+    return {"check": check, "n": n, **where, "expected": str(expected), "got": str(got)}
+
+
 def _suite_identities(max_n: int) -> tuple[int, int, list[dict]]:
     failures = []
     for n in range(1, max_n + 1):
         expected = factorial(n) * (-1 if n % 2 else 1)
         got = alternating_binomial_power_sum(n)
         if got != expected:
-            failures.append(
-                {"check": "alternating-identity", "n": n, "expected": str(expected), "got": str(got)}
-            )
+            failures.append(_failure("alternating-identity", n, expected, got))
     return max_n - len(failures), max_n, failures
 
 
@@ -148,15 +157,7 @@ def _suite_oracle(max_n: int, max_m: int) -> tuple[int, int, list[dict]]:
             literal += m**n
             got = power_sum_value(n, m)
             if got != literal:
-                failures.append(
-                    {
-                        "check": "power-sum-oracle",
-                        "n": n,
-                        "m": m,
-                        "expected": str(literal),
-                        "got": str(got),
-                    }
-                )
+                failures.append(_failure("power-sum-oracle", n, literal, got, m=m))
     return total - len(failures), total, failures
 
 
@@ -167,23 +168,9 @@ def _suite_divisibility(max_n: int) -> tuple[int, int, list[dict]]:
         closed = power_sum_closed_form(n)
         _, remainder = closed.divide_exact(modulus)
         if remainder:
-            failures.append(
-                {
-                    "check": "divisible-by-m(m+1)",
-                    "n": n,
-                    "expected": "0",
-                    "got": remainder.render(),
-                }
-            )
+            failures.append(_failure("divisible-by-m(m+1)", n, 0, remainder.render()))
         if closed.coefficient(0) != 0:
-            failures.append(
-                {
-                    "check": "zero-constant-term",
-                    "n": n,
-                    "expected": "0",
-                    "got": format_rational(closed.coefficient(0)),
-                }
-            )
+            failures.append(_failure("zero-constant-term", n, 0, closed.coefficient(0)))
     return 2 * max_n - len(failures), 2 * max_n, failures
 
 
@@ -262,7 +249,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if closed_value != brute_value:
             print(
                 f"error: method mismatch at n={n}, m={m}: "
-                f"closed_form={closed_value}, brute_force={format_rational(brute_value)}",
+                f"closed_form={closed_value}, brute_force={brute_value}",
                 file=sys.stderr,
             )
             return 1

@@ -20,6 +20,7 @@ encoding of the source.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -39,7 +40,6 @@ __all__ = [
     "tokenize",
     "parse",
     "lower",
-    "evaluate",
     "parse_polynomial",
 ]
 
@@ -266,7 +266,7 @@ class _Parser:
         if tok.kind != "int":
             raise self._error("a literal nonnegative integer exponent")
         self._advance()
-        value = int(tok.text)
+        value = _int(tok.text, tok.offset)
         if self._token.kind == "^":
             self._advance()
             value = value ** self._exponent_chain()
@@ -275,11 +275,23 @@ class _Parser:
     @staticmethod
     def _literal_value(tok: _Token) -> Fraction:
         if tok.kind == "int":
-            return Fraction(int(tok.text))
-        num_text, den_text = tok.text.split("/")
-        if int(den_text) == 0:
+            return Fraction(_int(tok.text, tok.offset))
+        num, den = (_int(part, tok.offset) for part in tok.text.split("/"))
+        if den == 0:
             raise ParseError(f"zero denominator in rational literal {tok.text!r}", tok.offset)
-        return Fraction(int(num_text), int(den_text))
+        return Fraction(num, den)
+
+
+def _int(digits: str, offset: int) -> int:
+    """int() of a digit token; past Python's int-string limit, a ParseError."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits exceeds Python's limit of "
+            f"{sys.get_int_max_str_digits()} digits",
+            offset,
+        ) from None
 
 
 def parse(src: str) -> PolyExpr:
@@ -303,29 +315,6 @@ def lower(e: PolyExpr) -> Polynomial:
         return lower(e.left) * lower(e.right)
     if isinstance(e, Pow):
         return lower(e.base) ** e.exponent
-    raise TypeError(f"not a PolyExpr node: {e!r}")
-
-
-def evaluate(e: PolyExpr, t: Fraction | int) -> Fraction:
-    """Interpret the tree directly at a point, without building a Polynomial.
-
-    Kept separate from lower() so the two routes can check each other.
-    """
-    t = Fraction(t)
-    if isinstance(e, Lit):
-        return e.value
-    if isinstance(e, Var):
-        return t
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, t)
-    if isinstance(e, Add):
-        return evaluate(e.left, t) + evaluate(e.right, t)
-    if isinstance(e, Sub):
-        return evaluate(e.left, t) - evaluate(e.right, t)
-    if isinstance(e, Mul):
-        return evaluate(e.left, t) * evaluate(e.right, t)
-    if isinstance(e, Pow):
-        return evaluate(e.base, t) ** e.exponent
     raise TypeError(f"not a PolyExpr node: {e!r}")
 
 

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-__all__ = ["Polynomial", "rising_factorial_basis_poly", "NEG_INFINITY"]
+__all__ = ["Polynomial", "NEG_INFINITY"]
 
 Scalar = Union[Fraction, int]
 
@@ -196,10 +196,8 @@ class Polynomial:
         return join_signed(parts)
 
 
-# Shared constants; defined after the class so construction is available.
-ZERO = Polynomial()
+# Shared constant; defined after the class so construction is available.
 ONE = Polynomial((1,))
-X = Polynomial((0, 1))
 
 
 def join_signed(parts: list[tuple[bool, str]]) -> str:
@@ -208,14 +206,3 @@ def join_signed(parts: list[tuple[bool, str]]) -> str:
     for negative, body in parts[1:]:
         text += (" - " if negative else " + ") + body
     return text
-
-
-def rising_factorial_basis_poly(i: int) -> Polynomial:
-    """Expand the length-i rising factorial x(x+1)...(x+i-1) from scratch; the
-    reference for the incremental products of basis.from_rising_basis."""
-    if i < 1:
-        raise ValueError(f"rising factorial length must be >= 1 (got {i})")
-    product = ONE
-    for offset in range(i):
-        product = product * Polynomial((offset, 1))
-    return product

@@ -4,19 +4,17 @@ The expanded form is built without Bernoulli numbers:
 
     S_n(m) = (-1)^n * sum_{i=1..n} a_i * m(m+1)(m+2)...(m+i),
 
-    a_i = 1/(i+1) * sum_{k=1..i} (-1)^k * k^n / (k! * (i-k)!),
+    a_i = 1/(i+1) * sum_{k=0..i} (-1)^k * k^n / (k! * (i-k)!),
 
-with the shortcuts a_1 = -1/2 and a_n = (-1)^n/(n+1) (the latter follows
-from the principal term m^{n+1}/(n+1) and is cheaper than the defining sum;
-strict mode recomputes it and checks agreement).  These are already the
-telescoped weights: basis.from_rising_basis assembles S_n from weight 0 on m
-and (-1)^n a_i on m(m+1)...(m+i).  For n >= 3 the common
-factor m(m+1) can be pulled out, giving the factored form
+where the inner sum is basis.rising_weights fed the ints k^n, k = 0..n, the
+same kernel as the general route.  a_1 = -1/2, and the paper's closing value
+a_n = (-1)^n/(n+1) is checked on every call.  basis.from_rising_basis
+assembles S_n from weight 0 on m and (-1)^n a_i on m(m+1)...(m+i).  For
+n >= 3 the common factor m(m+1) can be pulled out, giving the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
 
-The classical Bernoulli-number formula is also implemented, purely as an
-independent cross-check oracle for the forms above.
+The paper's literal sum and the Bernoulli-number formula are in oracles.
 """
 
 from __future__ import annotations
@@ -25,22 +23,16 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import binomial, factorial
-from .basis import RisingFactorialPoly, from_rising_basis
-from .poly import ONE, Polynomial, join_signed, rising_factorial_basis_poly
+from .basis import RisingFactorialPoly, from_rising_basis, rising_weights
+from .poly import ONE, Polynomial, join_signed
 
 __all__ = [
     "PowerSumCoefficients",
     "FactoredPowerSum",
     "coefficients",
-    "coefficient_from_sum",
     "power_sum_closed_form",
     "power_sum_factored_form",
     "power_sum_value",
-    "double_sum_closed_form",
-    "bernoulli_numbers",
-    "faulhaber_bernoulli_oracle",
-    "alternating_binomial_power_sum",
 ]
 
 
@@ -62,43 +54,22 @@ class PowerSumCoefficients:
         return self.coeffs[i - 1]
 
 
-def coefficient_from_sum(n: int, i: int) -> Fraction:
-    """a_i by its defining sum, without the a_n shortcut:
-    1/(i+1) * sum_{k=1..i} (-1)^k k^n / (k!(i-k)!)."""
+def coefficients(n: int) -> PowerSumCoefficients:
+    """All weights a_1..a_n for the exponent n, each by the defining sum;
+    ArithmeticError unless a_n is the paper's closing value (-1)^n/(n+1)."""
     if n < 1:
         raise ValueError(f"exponent must be >= 1 (got {n})")
-    if not 1 <= i <= n:
-        raise ValueError(f"coefficient index must be in 1..{n} (got {i})")
-    total = Fraction(0)
-    for k in range(1, i + 1):
-        term = Fraction(k**n, factorial(k) * factorial(i - k))
-        total += -term if k % 2 else term
-    return total / (i + 1)
+    weights = rising_weights([k**n for k in range(n + 1)])
+    coeffs = tuple(w / (i + 1) for i, w in enumerate(weights, start=1))
+    closing = Fraction((-1) ** n, n + 1)
+    if coeffs[-1] != closing:
+        raise ArithmeticError(
+            f"a_n disagrees with (-1)^n/(n+1) for n={n}: {coeffs[-1]} != {closing}"
+        )
+    return PowerSumCoefficients(n, coeffs)
 
 
-def coefficients(n: int, *, strict: bool = False) -> PowerSumCoefficients:
-    """All weights a_1..a_n for the exponent n.
-
-    a_n is taken from the shortcut (-1)^n/(n+1) by default; strict=True
-    also evaluates the defining sum at i=n and raises if they disagree,
-    turning the simplification into a permanent self-check.
-    """
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1 (got {n})")
-    coeffs = [coefficient_from_sum(n, i) for i in range(1, n)]
-    shortcut = Fraction((-1) ** n, n + 1)
-    if strict:
-        full = coefficient_from_sum(n, n)
-        if full != shortcut:
-            raise ArithmeticError(
-                f"a_n shortcut disagrees with the defining sum for n={n}: "
-                f"{shortcut} != {full}"
-            )
-    coeffs.append(shortcut)
-    return PowerSumCoefficients(n, tuple(coeffs))
-
-
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=128)
 def power_sum_closed_form(n: int) -> Polynomial:
     """S_n(m) expanded in the monomial basis of m.
 
@@ -184,67 +155,3 @@ def power_sum_value(n: int, m: int) -> int:
             f"closed form for n={n} returned non-integer {value} at m={m}"
         )
     return value.numerator
-
-
-def double_sum_closed_form(n: int) -> Polynomial:
-    """S_n(m) assembled literally from the binomial double sum
-
-        sum_{i=1..n} sum_{k=1..i} (-1)^(k+n) k^n C(i,k) / (i+1)!
-                                  * m(m+1)...(m+i).
-
-    An alternative route to the same polynomial, kept for equivalence
-    testing against power_sum_closed_form.
-    """
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1 (got {n})")
-    total = Polynomial()
-    for i in range(1, n + 1):
-        base = rising_factorial_basis_poly(i + 1)
-        for k in range(1, i + 1):
-            coef = Fraction(k**n * binomial(i, k), factorial(i + 1))
-            if (k + n) % 2:
-                coef = -coef
-            total = total + base.scale(coef)
-    return total
-
-
-def bernoulli_numbers(count: int) -> tuple[Fraction, ...]:
-    """B_0..B_count, with the B_1 = -1/2 convention, from the recurrence
-    sum_{j=0..k} C(k+1, j) B_j = 0."""
-    if count < 0:
-        raise ValueError(f"count must be >= 0 (got {count})")
-    table: list[Fraction] = [Fraction(1)]
-    for k in range(1, count + 1):
-        acc = Fraction(0)
-        for j in range(k):
-            acc += binomial(k + 1, j) * table[j]
-        table.append(-acc / (k + 1))
-    return tuple(table)
-
-
-def faulhaber_bernoulli_oracle(n: int) -> Polynomial:
-    """S_n(m) by the classical Bernoulli-number formula
-
-        S_n(m) = 1/(n+1) * sum_{j=0..n} (-1)^j C(n+1, j) B_j m^(n+1-j).
-
-    Independent of the rising-factorial route; used only to cross-check it.
-    """
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1 (got {n})")
-    bern = bernoulli_numbers(n)
-    coeffs = [Fraction(0)] * (n + 2)
-    for j in range(n + 1):
-        c = binomial(n + 1, j) * bern[j]
-        coeffs[n + 1 - j] = -c if j % 2 else c
-    return Polynomial(coeffs).scale(Fraction(1, n + 1))
-
-
-def alternating_binomial_power_sum(n: int) -> int:
-    """sum_{k=1..n} (-1)^k C(n,k) k^n, which always equals (-1)^n n!."""
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1 (got {n})")
-    total = 0
-    for k in range(1, n + 1):
-        term = binomial(n, k) * k**n
-        total += -term if k % 2 else term
-    return total

@@ -8,9 +8,9 @@ itself a polynomial of degree n+1.  The telescoping identity
 shifts the rising-factorial weights c_i of f one product up: g has constant
 0, weight f(0) on m and weight c_i/(i+1) on m(m+1)...(m+i).
 
-Every closed form has zero constant term (g is divisible by m), and
-brute_force_sum is the literal term-by-term reference the closed forms are
-tested against.
+Every closed form has zero constant term (g is divisible by m).  The
+literal term-by-term reference the closed forms are tested against is
+oracles.brute_force_sum.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import RisingFactorialPoly, from_rising_basis, to_rising_basis
-from .poly import Polynomial, rising_factorial_basis_poly
+from .poly import Polynomial
 
 __all__ = [
     "ClosedFormSum",
-    "sum_rising_factorial",
     "sum_polynomial",
     "sum_range",
-    "brute_force_sum",
 ]
 
 
@@ -54,17 +52,6 @@ class ClosedFormSum:
         return self.poly(m)
 
 
-def sum_rising_factorial(i: int) -> Polynomial:
-    """Closed form of sum_{x=1..m} x(x+1)...(x+i-1), expanded in m.
-
-    Equals m(m+1)...(m+i)/(i+1): the length-(i+1) rising factorial starting
-    at m, scaled by 1/(i+1).
-    """
-    if i < 1:
-        raise ValueError(f"rising factorial length must be >= 1 (got {i})")
-    return rising_factorial_basis_poly(i + 1).scale(Fraction(1, i + 1))
-
-
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f."""
     expansion = to_rising_basis(f)
@@ -85,14 +72,3 @@ def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     g = sum_polynomial(f).poly
     return g(hi) - g(lo - 1)
-
-
-def brute_force_sum(f: Polynomial, m: int) -> Fraction:
-    """Literal f(1) + f(2) + ... + f(m); the reference every closed form is
-    tested against."""
-    if m < 1:
-        raise ValueError(f"brute-force sum requires m >= 1 (got {m})")
-    total = Fraction(0)
-    for x in range(1, m + 1):
-        total += f(x)
-    return total

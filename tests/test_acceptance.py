@@ -13,20 +13,24 @@ import random
 from fractions import Fraction
 
 from conftest import random_polynomial
-from polysum.basis import from_rising_basis, solve_interpolation_system, to_rising_basis
+from polysum.basis import from_rising_basis, to_rising_basis
 from polysum.expr_parser import parse_polynomial
-from polysum.poly import Polynomial
-from polysum.powersum import (
+from polysum.oracles import (
     alternating_binomial_power_sum,
+    brute_force_sum,
     coefficient_from_sum,
-    coefficients,
     double_sum_closed_form,
     faulhaber_bernoulli_oracle,
+    solve_interpolation_system,
+)
+from polysum.poly import Polynomial
+from polysum.powersum import (
+    coefficients,
     power_sum_closed_form,
     power_sum_factored_form,
     power_sum_value,
 )
-from polysum.summation import brute_force_sum, sum_polynomial
+from polysum.summation import sum_polynomial
 
 GENERAL_SUM_SEED = 74123  # criteria 2 and 6 must draw the same polynomials
 

@@ -2,18 +2,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb as binomial
 
 import pytest
 
 from conftest import random_polynomial, random_rational
-from polysum.basis import (
-    RisingFactorialPoly,
-    from_rising_basis,
-    solve_interpolation_system,
-    to_rising_basis,
-)
-from polysum.exactnum import binomial
-from polysum.poly import Polynomial, rising_factorial_basis_poly
+from polysum.basis import RisingFactorialPoly, from_rising_basis, to_rising_basis
+from polysum.oracles import rising_factorial_basis_poly, solve_interpolation_system
+from polysum.poly import Polynomial
 
 X_SQUARED = Polynomial((0, 0, 1))
 

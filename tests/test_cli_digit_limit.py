@@ -1,0 +1,58 @@
+"""CLI behaviour at Python's int-string digit limit (sys.get_int_max_str_digits,
+4300 by default): an over-long literal or exact result is a usage error
+(exit 2, one "error:" line), never a traceback.  The limit is not changed."""
+
+from __future__ import annotations
+
+import json
+import sys
+
+import pytest
+
+from polysum.cli import main
+
+LIMIT = sys.get_int_max_str_digits()
+
+pytestmark = pytest.mark.skipif(LIMIT == 0, reason="int-string limit disabled")
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_overlong_literal_is_parse_error(capsys):
+    code, out, err = run_cli(capsys, "sum", "--expr", "1" * (LIMIT + 1) + "x")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot parse --expr")
+    assert "(byte 0)" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_overlong_value_is_usage_error(capsys, json_flag):
+    # the sum of x^3 up to hi has about 4 times as many digits as hi
+    hi = "1" + "0" * (LIMIT // 4 + 10)
+    code, out, err = run_cli(capsys, *json_flag, "sum", "--expr", "x^3", "--lo", "1", "--hi", hi)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(LIMIT) in err
+    assert "PYTHONINTMAXSTRDIGITS" in err
+
+
+def test_overlong_symbolic_coefficient_is_usage_error(capsys):
+    # the literal fits the limit, its cube does not
+    code, out, err = run_cli(capsys, "sum", "--expr", f"({'9' * (LIMIT // 3 + 10)}x)^3")
+    assert code == 2
+    assert out == ""
+    assert "PYTHONINTMAXSTRDIGITS" in err
+
+
+def test_value_just_inside_the_limit_is_printed(capsys):
+    hi = "1" + "0" * (LIMIT // 4 - 10)
+    code, out, _ = run_cli(capsys, "--json", "sum", "--expr", "x^3", "--lo", "1", "--hi", hi)
+    assert code == 0
+    m = int(hi)
+    assert json.loads(out)["value"] == str((m * (m + 1) // 2) ** 2)

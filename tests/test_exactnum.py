@@ -6,64 +6,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from polysum.exactnum import binomial, factorial, format_rational
-
-
-def test_factorial_known_values():
-    assert factorial(0) == 1
-    assert factorial(5) == 120
-    assert factorial(20) == 2432902008176640000  # frozen from an iterative product
-
-
-def test_factorial_iterative_oracle():
-    product = 1
-    for k in range(1, 31):
-        product *= k
-        assert factorial(k) == product
-
-
-def test_factorial_negative_rejected():
-    with pytest.raises(ValueError):
-        factorial(-1)
-
-
-def test_factorial_recurrence():
-    for k in range(1, 31):
-        assert factorial(k) == k * factorial(k - 1)
-
-
-def test_binomial_known_values():
-    assert binomial(5, 2) == 10
-    assert binomial(7, 0) == 1
-    assert binomial(30, 15) == 155117520  # frozen from the Pascal-triangle oracle
-
-
-def test_binomial_pascal_triangle_oracle():
-    row = [1]
-    for n in range(1, 31):
-        row = [1] + [row[i] + row[i + 1] for i in range(len(row) - 1)] + [1]
-        for k, expected in enumerate(row):
-            assert binomial(n, k) == expected
-
-
-def test_binomial_out_of_range_is_zero():
-    assert binomial(5, -1) == 0
-    assert binomial(5, 6) == 0
-    assert binomial(0, 0) == 1
-
-
-def test_binomial_negative_n_rejected():
-    with pytest.raises(ValueError):
-        binomial(-3, 1)
-
-
-def test_binomial_addition_recurrence():
-    for n in range(1, 41):
-        for k in range(1, n):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-
-
-# ---------------------------------------------------------------------------
 # The rational type is fractions.Fraction; these tests pin the canonical-form
 # invariants and check the operator suite against an independent
 # numerator/denominator model.
@@ -113,11 +55,3 @@ def test_rational_pow_matches_model(a, b, e):
 def test_rational_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         Fraction(1, 2) / Fraction(0)
-
-
-def test_format_rational():
-    assert format_rational(Fraction(-1, 2)) == "-1/2"
-    assert format_rational(Fraction(14, 1)) == "14"
-    assert format_rational(Fraction(0)) == "0"
-    assert format_rational(Fraction(2, 4)) == "1/2"
-    assert format_rational(7) == "7"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,11 +15,11 @@ from polysum.expr_parser import (
     Pow,
     Sub,
     Var,
-    evaluate,
     lower,
     parse,
     parse_polynomial,
 )
+from polysum.oracles import evaluate
 from polysum.poly import Polynomial
 
 X = Polynomial((0, 1))
@@ -129,6 +130,22 @@ def test_only_ascii_digits_are_digits(src, offset):
     with pytest.raises(ParseError) as excinfo:
         parse(src)
     assert excinfo.value.offset == offset
+
+
+# one digit more than Python's int-string limit (4300 by default); 0 means no limit
+TOO_MANY_DIGITS = "1" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int-string limit disabled")
+@pytest.mark.parametrize(
+    ("src", "offset"),
+    [(TOO_MANY_DIGITS + "x", 0), ("x^" + TOO_MANY_DIGITS, 2), ("x + 1/" + TOO_MANY_DIGITS, 4)],
+)
+def test_overlong_integer_literal_is_parse_error(src, offset):
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    assert excinfo.value.offset == offset
+    assert str(sys.get_int_max_str_digits()) in str(excinfo.value)
 
 
 def test_unexpected_end_of_input():

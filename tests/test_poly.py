@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial, random_rational
-from polysum.poly import NEG_INFINITY, Polynomial, rising_factorial_basis_poly
+from polysum.oracles import rising_factorial_basis_poly
+from polysum.poly import NEG_INFINITY, Polynomial
 
 X = Polynomial((0, 1))
 

@@ -2,23 +2,25 @@ from __future__ import annotations
 
 import concurrent.futures
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
-from polysum.exactnum import factorial
-from polysum.poly import Polynomial
-from polysum.powersum import (
+from polysum.oracles import (
     alternating_binomial_power_sum,
     bernoulli_numbers,
+    brute_force_sum,
     coefficient_from_sum,
-    coefficients,
     double_sum_closed_form,
     faulhaber_bernoulli_oracle,
+)
+from polysum.poly import Polynomial
+from polysum.powersum import (
+    coefficients,
     power_sum_closed_form,
     power_sum_factored_form,
     power_sum_value,
 )
-from polysum.summation import brute_force_sum
 
 M_TIMES_M_PLUS_1 = Polynomial((0, 1, 1))
 
@@ -45,9 +47,30 @@ def test_first_and_last_coefficient_structure():
         assert coefficient_from_sum(n, n) == a.coefficient(n)
 
 
-def test_strict_mode_smoke():
+def test_coefficients_match_defining_sum():
     for n in range(1, 31):
-        assert coefficients(n, strict=True) == coefficients(n)
+        assert coefficients(n).coeffs == tuple(coefficient_from_sum(n, i) for i in range(1, n + 1))
+
+
+def test_coefficients_match_stirling_numbers():
+    # a_i = (-1)^i S(n,i)/(i+1), with S the Stirling numbers of the second
+    # kind from S(n,k) = k S(n-1,k) + S(n-1,k-1)
+    row = [1]  # S(0, k) for k = 0..0
+    for n in range(1, 41):
+        row = [0] + [k * (row[k] if k < len(row) else 0) + row[k - 1] for k in range(1, n + 1)]
+        expected = tuple(Fraction((-1) ** i * row[i], i + 1) for i in range(1, n + 1))
+        assert coefficients(n).coeffs == expected
+
+
+def test_coefficients_check_the_closing_value(monkeypatch):
+    import polysum.powersum as powersum_module
+
+    real = powersum_module.rising_weights
+    monkeypatch.setattr(
+        powersum_module, "rising_weights", lambda values: real(values)[:-1] + (Fraction(0),)
+    )
+    with pytest.raises(ArithmeticError):
+        coefficients(4)
 
 
 def test_coefficient_accessor_bounds():
@@ -195,3 +218,7 @@ def test_concurrent_use_matches_sequential():
         }
         for key, future in futures.items():
             assert future.result() == sequential[key]
+
+
+def test_closed_form_cache_is_bounded():
+    assert power_sum_closed_form.cache_info().maxsize == 128
