@@ -9,12 +9,16 @@ coefficients come in closed form from the values v_k = f(-k):
 
     c_i = 1/i! * sum_{k=0..i} (-1)^k * C(i,k) * v_k
 
-rising_weights is the one kernel for this alternating sum.  Fed the ints
-v_k = k^n (the values of (-x)^n), it gives the paper's power-sum weights
-sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) (see powersum).
+Equivalently c_i = (-1)^i Delta^i v_0 / i!, an i-th forward difference.
+rising_weights is the one kernel for it.  Fed the ints v_k = k^n (the values
+of (-x)^n), it gives the paper's power-sum weights
+sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i) (see powersum).
 
 from_rising_basis is the one kernel that assembles weights on these products
-into monomials.  Summation is a shift of the weights: by the telescoping
+into monomials; multiplying by (x + i) is the recurrence of the unsigned
+Stirling numbers of the first kind, the coefficients of x(x+1)...(x+i).  Both
+kernels are int work over one common denominator, with one Fraction per
+output coefficient.  Summation is a shift of the weights: by the telescoping
 identity sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i)/(i+1), weight c_i
 moves one product up as c_i/(i+1), and f(0) becomes the weight on m.
 """
@@ -23,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import lcm
 from typing import Sequence
 
-from .poly import ONE, Polynomial
+from .poly import Polynomial
 
 __all__ = [
     "RisingFactorialPoly",
@@ -56,41 +60,63 @@ class RisingFactorialPoly:
         return Fraction(0)
 
 
+def _over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """D, the lcm of the denominators of xs, and the ints D*x."""
+    den = lcm(*[x.denominator for x in xs])
+    return den, [x.numerator * (den // x.denominator) for x in xs]
+
+
 def rising_weights(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) values[k] for i = 1..len(values)-1.
 
-    The values may be ints; the single division per weight keeps them exact.
+    The sum is (-1)^i Delta^i v_0, so the values V_k = D*v_k are differenced
+    as ints and each weight is one Fraction, (-1)^i Delta^i V_0 / (i! * D).
     """
+    scale, row = _over_common_denominator(values)
     weights = []
     for i in range(1, len(values)):
-        total = 0
-        for k in range(i + 1):
-            term = comb(i, k) * values[k]
-            total += -term if k % 2 else term
-        weights.append(Fraction(total, factorial(i)))
+        row = [b - a for a, b in zip(row, row[1:])]  # Delta^i V_k
+        scale *= i
+        weights.append(Fraction(-row[0] if i % 2 else row[0], scale))
     return tuple(weights)
 
 
 def to_rising_basis(f: Polynomial) -> RisingFactorialPoly:
     """Expand f over the rising-factorial basis via the closed form.
 
-    The bound n is taken as deg(f) exactly, so no forced-zero trailing
-    coefficients are stored; the zero polynomial maps to constant 0 with
-    empty coefficients.
+    The values D*f(-k) come from integer Horner on D*f.  The bound n is
+    taken as deg(f) exactly, so no forced-zero trailing coefficients are
+    stored; the zero polynomial maps to constant 0 with empty coefficients.
     """
     if not f:
         return RisingFactorialPoly(Fraction(0), ())
-    n = int(f.degree)
-    values = [f(-k) for k in range(n + 1)]
-    return RisingFactorialPoly(values[0], rising_weights(values))
+    den, scaled = _over_common_denominator(f.coeffs)
+    values = []
+    for k in range(len(scaled)):
+        acc = 0
+        for c in reversed(scaled):
+            acc = acc * -k + c
+        values.append(acc)
+    weights = rising_weights(values)
+    return RisingFactorialPoly(f.coeffs[0], tuple([w / den for w in weights]))
 
 
 def from_rising_basis(r: RisingFactorialPoly) -> Polynomial:
     """Expand constant + sum of weighted rising-factorial products back into
-    the monomial basis, extending each product from the previous one."""
-    result = Polynomial.constant(r.constant)
-    product = ONE
-    for i, c in enumerate(r.coeffs):
-        product = product * Polynomial((i, 1))  # x(x+1)...(x+i)
-        result = result + product.scale(c)
-    return result
+    the monomial basis.
+
+    With W_i = D*coeffs[i], the weight on x(x+1)...(x+i) over the common
+    denominator D, the sum is taken in nested form as one int row,
+
+        acc <- (acc + W_i) * (x + i)    for i = n-1, ..., 0,
+
+    each step the first-kind Stirling recurrence new[j] = old[j-1] + i*old[j],
+    and divided by D once per monomial coefficient.
+    """
+    den, (constant, *weights) = _over_common_denominator([r.constant, *r.coeffs])
+    acc = [0]
+    for i in range(len(weights) - 1, -1, -1):
+        acc[0] += weights[i]
+        acc = [a + i * b for a, b in zip([0, *acc], [*acc, 0])]
+    acc[0] += constant
+    return Polynomial([Fraction(a, den) for a in acc])

@@ -3,8 +3,10 @@ and a closed-form-vs-brute-force benchmark.
 
 All numeric output is exact decimal text; nothing is ever rendered through
 floating point.  With --json, each command emits a single JSON object whose
-exact-arithmetic values are decimal strings.  Exit codes: 0 success,
-1 verification failure, 2 usage or parse error.
+exact-arithmetic values are decimal strings; a usage error also prints
+{"error": message} on stdout, with the byte "offset" when --expr failed to
+parse.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
+error.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import time
 from math import factorial
 from typing import Callable
 
-from .expr_parser import ParseError, parse_polynomial
+from .expr_parser import MAX_DEGREE, ParseError, parse_polynomial
 from .oracles import alternating_binomial_power_sum, brute_force_sum
 from .poly import Polynomial
 from .powersum import power_sum_closed_form, power_sum_factored_form, power_sum_value
@@ -58,6 +60,8 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
         raise _UsageError("n must be >= 1; the n = 0 sum is m itself: polysum sum --expr 1")
     if n < 0:
         raise _UsageError(f"n must be >= 1 (got {n})")
+    if n > MAX_DEGREE:
+        raise _UsageError(f"n must be <= {MAX_DEGREE} (got {n})")
     if args.factored:
         if n < 3:
             raise _UsageError(f"the factored form requires n >= 3 (got {n})")
@@ -177,6 +181,8 @@ def _suite_divisibility(max_n: int) -> tuple[int, int, list[dict]]:
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise _UsageError(f"--max-n must be >= 1 (got {args.max_n})")
+    if args.max_n > MAX_DEGREE:
+        raise _UsageError(f"--max-n must be <= {MAX_DEGREE} (got {args.max_n})")
     if args.max_m < 1:
         raise _UsageError(f"--max-m must be >= 1 (got {args.max_m})")
     selected = ["identities", "oracle", "divisibility"] if args.suite == "all" else [args.suite]
@@ -230,6 +236,8 @@ def _time_best_ns(fn, reps: int):
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise _UsageError(f"--n must be >= 1 (got {args.n})")
+    if args.n > MAX_DEGREE:
+        raise _UsageError(f"--n must be <= {MAX_DEGREE} (got {args.n})")
     if args.reps < 1:
         raise _UsageError(f"--reps must be >= 1 (got {args.reps})")
     try:
@@ -369,6 +377,11 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
+        if getattr(args, "json", False):
+            error = {"error": str(e)}
+            if isinstance(e.__cause__, ParseError):
+                error["offset"] = e.__cause__.offset
+            print(json.dumps(error))
         return 2
 
 

@@ -10,8 +10,9 @@ Grammar (precedence low to high):
 Literals are integers or rationals written "p/q" (a single token; there is
 no division operator).  Exponents are literal nonnegative integers, bind
 tighter than unary minus ("-x^2" is -(x^2)) and are right-associative
-(x^2^3 = x^8).  Implicit multiplication is accepted between a literal and a
-variable or parenthesis ("3x", "2(x+1)").  Whitespace is insignificant.
+(x^2^3 = x^8); every exponent literal and every folded value must be at
+most MAX_DEGREE.  Implicit multiplication is accepted between a literal and
+a variable or parenthesis ("3x", "2(x+1)").  Whitespace is insignificant.
 Exactly one variable may appear; the first identifier fixes its name.
 
 Syntax errors raise ParseError carrying the byte offset into the UTF-8
@@ -28,6 +29,7 @@ from typing import Union
 from .poly import Polynomial
 
 __all__ = [
+    "MAX_DEGREE",
     "ParseError",
     "PolyExpr",
     "Lit",
@@ -42,6 +44,11 @@ __all__ = [
     "lower",
     "parse_polynomial",
 ]
+
+
+# Largest exponent the parser accepts, and the largest n the CLI builds a
+# power-sum closed form for.
+MAX_DEGREE = 1000
 
 
 class ParseError(ValueError):
@@ -254,7 +261,8 @@ class _Parser:
 
     def _exponent_chain(self) -> int:
         """One or more '^'-separated integer literals, folded right to left
-        (x^2^3 = x^(2^3))."""
+        (x^2^3 = x^(2^3)).  A literal or fold past MAX_DEGREE is an error at
+        its token, so no fold exceeds MAX_DEGREE ** MAX_DEGREE."""
         tok = self._token
         if tok.kind == "-":
             raise ParseError("negative exponents are not supported", tok.offset)
@@ -267,9 +275,11 @@ class _Parser:
             raise self._error("a literal nonnegative integer exponent")
         self._advance()
         value = _int(tok.text, tok.offset)
-        if self._token.kind == "^":
+        if value <= MAX_DEGREE and self._token.kind == "^":
             self._advance()
             value = value ** self._exponent_chain()
+        if value > MAX_DEGREE:
+            raise ParseError(f"exponent exceeds the maximum degree {MAX_DEGREE}", tok.offset)
         return value
 
     @staticmethod

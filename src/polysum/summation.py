@@ -6,7 +6,10 @@ itself a polynomial of degree n+1.  The telescoping identity
     sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i) / (i+1)
 
 shifts the rising-factorial weights c_i of f one product up: g has constant
-0, weight f(0) on m and weight c_i/(i+1) on m(m+1)...(m+i).
+0, weight f(0) on m and weight c_i/(i+1) on m(m+1)...(m+i).  Both basis
+kernels run as int arithmetic over one common denominator: the c_i come from
+forward differences of D*f(-k), and the assembly multiplies int rows by
+(m + i), the first-kind Stirling recurrence.
 
 Every closed form has zero constant term (g is divisible by m).  The
 literal term-by-term reference the closed forms are tested against is
@@ -55,7 +58,7 @@ class ClosedFormSum:
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f."""
     expansion = to_rising_basis(f)
-    weights = (expansion.constant,) + tuple(c / i for i, c in enumerate(expansion.coeffs, start=2))
+    weights = (expansion.constant, *[c / i for i, c in enumerate(expansion.coeffs, start=2)])
     g = from_rising_basis(RisingFactorialPoly(Fraction(0), weights))
     degree = int(f.degree) if f else 0
     return ClosedFormSum(g, degree)

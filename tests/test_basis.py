@@ -3,11 +3,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import comb as binomial
+from math import factorial
 
 import pytest
 
 from conftest import random_polynomial, random_rational
-from polysum.basis import RisingFactorialPoly, from_rising_basis, to_rising_basis
+from polysum.basis import (
+    RisingFactorialPoly,
+    from_rising_basis,
+    rising_weights,
+    to_rising_basis,
+)
 from polysum.oracles import rising_factorial_basis_poly, solve_interpolation_system
 from polysum.poly import Polynomial
 
@@ -40,6 +46,42 @@ def test_basis_products_are_fixed_points():
         r = to_rising_basis(rising_factorial_basis_poly(i))
         assert r.constant == 0
         assert r.coeffs == (Fraction(0),) * (i - 1) + (Fraction(1),)
+
+
+def literal_weights(values):
+    """The alternating binomial sum, term by term: the reference for the
+    forward-difference kernel."""
+    return tuple(
+        Fraction(sum((-1) ** k * binomial(i, k) * values[k] for k in range(i + 1)), factorial(i))
+        for i in range(1, len(values))
+    )
+
+
+def test_rising_weights_match_the_alternating_sum():
+    rng = random.Random(20261018)
+    kinds = {
+        "int": lambda: rng.randint(-(10**30), 10**30),
+        "fraction": lambda: Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**25)),
+    }
+    kinds["mixed"] = lambda: kinds[rng.choice(["int", "fraction"])]()
+    for kind, draw in kinds.items():
+        for length in range(1, 42):
+            values = [draw() for _ in range(length)]
+            assert rising_weights(values) == literal_weights(values), (kind, length)
+    assert rising_weights([]) == ()
+    assert rising_weights([Fraction(3, 7)]) == ()
+
+
+def test_to_rising_basis_of_an_integer_polynomial():
+    rng = random.Random(20261019)
+    for degree in (1, 5, 20, 40):
+        coeffs = [rng.randint(-(10**12), 10**12) for _ in range(degree)]
+        coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 10**12))  # nonzero leading term
+        f = Polynomial(coeffs)
+        r = to_rising_basis(f)
+        assert r.constant == f(0)
+        assert r.coeffs == literal_weights([f(-k) for k in range(degree + 1)])
+        assert r == solve_interpolation_system(f)
 
 
 def test_from_rising_basis_examples():

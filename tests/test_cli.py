@@ -75,6 +75,57 @@ def test_closed_form_factored_needs_three(capsys):
     assert "n >= 3" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["closed-form", "--n", "1001"],
+        ["closed-form", "--n", "1001", "--factored"],
+        ["bench", "--n", "1001", "--m", "5"],
+        ["verify", "--suite", "divisibility", "--max-n", "1001"],
+    ],
+)
+def test_n_past_the_degree_bound_is_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "<= 1000" in err
+
+
+@pytest.mark.parametrize("expr", ["x^2^2^2^2", "x^9^9^9"])
+def test_exponent_tower_is_usage_error(capsys, expr):
+    code, out, err = run_cli(capsys, "sum", "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert "maximum degree 1000" in err
+
+
+def test_sum_of_a_400th_power(capsys):
+    code, out, _ = run_cli(capsys, "sum", "--expr", "(x+1)^400", "--lo", "1", "--hi", "2")
+    assert code == 0
+    assert out == f"{2**400 + 3**400}\n"
+
+
+def test_json_parse_error_carries_the_offset(capsys):
+    code, out, err = run_cli(capsys, "--json", "sum", "--expr", "x^2 +* 1")
+    assert code == 2
+    assert err.startswith("error: cannot parse --expr") and err.count("\n") == 1
+    assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n"), "offset": 5}
+
+
+def test_json_usage_error_without_parse_has_no_offset(capsys):
+    code, out, err = run_cli(capsys, "sum", "--expr", "x", "--lo", "1", "--json")
+    assert code == 2
+    assert err == "error: --lo and --hi must be given together\n"
+    assert json.loads(out) == {"error": "--lo and --hi must be given together"}
+
+
+def test_json_argparse_errors_stay_plain_text(capsys):
+    code, out, err = run_cli(capsys, "--json", "closed-form")
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+
+
 def test_sum_with_bounds(capsys):
     code, out, _ = run_cli(capsys, "sum", "--expr", "x^2", "--lo", "1", "--hi", "3")
     assert code == 0

@@ -36,8 +36,11 @@ def test_overlong_value_is_usage_error(capsys, json_flag):
     hi = "1" + "0" * (LIMIT // 4 + 10)
     code, out, err = run_cli(capsys, *json_flag, "sum", "--expr", "x^3", "--lo", "1", "--hi", hi)
     assert code == 2
-    assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+    if json_flag:
+        assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n")}
+    else:
+        assert out == ""
     assert str(LIMIT) in err
     assert "PYTHONINTMAXSTRDIGITS" in err
 

@@ -8,6 +8,7 @@ import pytest
 
 from conftest import random_polynomial, random_rational
 from polysum.expr_parser import (
+    MAX_DEGREE,
     Add,
     Lit,
     Mul,
@@ -146,6 +147,31 @@ def test_overlong_integer_literal_is_parse_error(src, offset):
         parse(src)
     assert excinfo.value.offset == offset
     assert str(sys.get_int_max_str_digits()) in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    ("src", "offset"),
+    [
+        ("x^1001", 2),
+        ("x^2^2^2^2", 2),  # 2^16 = 65536 is the first fold past the bound
+        ("x^9^9^9", 4),  # 9^9 stops the chain before 9^(9^9)
+        ("(x+1)^2^2000", 8),  # a literal past the bound is not folded
+        ("1^1000^1000", 2),
+    ],
+)
+def test_exponent_chain_is_bounded(src, offset):
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    assert excinfo.value.offset == offset
+    assert f"maximum degree {MAX_DEGREE}" in str(excinfo.value)
+
+
+def test_exponent_at_the_bound_is_accepted():
+    assert MAX_DEGREE == 1000
+    assert parse("x^1000") == Pow(Var("x"), 1000)
+    assert parse("x^10^3") == Pow(Var("x"), 1000)
+    assert parse("x^1000^1") == Pow(Var("x"), 1000)
+    assert parse("x^1^1000") == Pow(Var("x"), 1)
 
 
 def test_unexpected_end_of_input():

@@ -195,6 +195,11 @@ def test_faulhaber_oracle_agrees_with_closed_form():
         faulhaber_bernoulli_oracle(0)
 
 
+@pytest.mark.parametrize("n", [60, 100, 200, 300])
+def test_faulhaber_oracle_agrees_with_large_closed_forms(n):
+    assert faulhaber_bernoulli_oracle(n) == power_sum_closed_form(n)
+
+
 def test_alternating_binomial_power_sum():
     assert alternating_binomial_power_sum(1) == -1
     assert alternating_binomial_power_sum(2) == 2  # -2*1 + 1*4
