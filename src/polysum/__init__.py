@@ -20,7 +20,7 @@ Quick start::
 
 from __future__ import annotations
 
-from .basis import RisingFactorialPoly, from_rising_basis, to_rising_basis
+from .basis import from_rising_basis, to_rising_basis
 from .expr_parser import ParseError, lower, parse, parse_polynomial
 from .poly import Polynomial
 from .powersum import (
@@ -37,7 +37,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Polynomial",
-    "RisingFactorialPoly",
     "to_rising_basis",
     "from_rising_basis",
     "ClosedFormSum",

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from math import factorial
@@ -373,6 +374,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         code = e.code
         return code if isinstance(code, int) else 0
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away.  Send the interpreter's final flush to devnull
+        # so it stays quiet (the SIGPIPE note in the signal module docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except _UsageError as e:

@@ -11,8 +11,12 @@ Literals are integers or rationals written "p/q" (a single token; there is
 no division operator).  Exponents are literal nonnegative integers, bind
 tighter than unary minus ("-x^2" is -(x^2)) and are right-associative
 (x^2^3 = x^8); every exponent literal and every folded value must be at
-most MAX_DEGREE.  Implicit multiplication is accepted between a literal and
-a variable or parenthesis ("3x", "2(x+1)").  Whitespace is insignificant.
+most MAX_DEGREE.  So must the degree bound of every subexpression, taken
+before anything is lowered: 0 for a literal, 1 for the variable, the max of
+the operands for '+' and '-', their sum for '*' and e times the base for
+'^e'.  Subtraction a - b parses as Add(a, Neg(b)).  Implicit
+multiplication is accepted between a literal and a variable or parenthesis
+("3x", "2(x+1)").  Whitespace is insignificant.
 Exactly one variable may appear; the first identifier fixes its name.
 
 Syntax errors raise ParseError carrying the byte offset into the UTF-8
@@ -36,7 +40,6 @@ __all__ = [
     "Var",
     "Neg",
     "Add",
-    "Sub",
     "Mul",
     "Pow",
     "tokenize",
@@ -46,8 +49,8 @@ __all__ = [
 ]
 
 
-# Largest exponent the parser accepts, and the largest n the CLI builds a
-# power-sum closed form for.
+# Largest exponent and degree bound the parser accepts, and the largest n the
+# CLI builds a power-sum closed form for.
 MAX_DEGREE = 1000
 
 
@@ -85,12 +88,6 @@ class Add:
 
 
 @dataclass(frozen=True)
-class Sub:
-    left: "PolyExpr"
-    right: "PolyExpr"
-
-
-@dataclass(frozen=True)
 class Mul:
     left: "PolyExpr"
     right: "PolyExpr"
@@ -102,7 +99,7 @@ class Pow:
     exponent: int  # literal and nonnegative by construction
 
 
-PolyExpr = Union[Lit, Var, Neg, Add, Sub, Mul, Pow]
+PolyExpr = Union[Lit, Var, Neg, Add, Mul, Pow]
 
 
 # ---------------------------------------------------------------------------
@@ -193,46 +190,52 @@ class _Parser:
         return ParseError(f"expected {expected}, found {found}", tok.offset)
 
     def parse(self) -> PolyExpr:
-        result = self._expr()
+        result, _ = self._expr()
         if self._token.kind != "eof":
             raise self._error("end of input")
         return result
 
-    def _expr(self) -> PolyExpr:
-        node = self._term()
+    # Each production returns its node and the node's degree bound.
+
+    def _expr(self) -> tuple[PolyExpr, int]:
+        node, degree = self._term()
         while self._token.kind in ("+", "-"):
             op = self._advance().kind
-            rhs = self._term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            rhs, rhs_degree = self._term()
+            node = Add(node, rhs if op == "+" else Neg(rhs))
+            degree = max(degree, rhs_degree)
+        return node, degree
 
-    def _term(self) -> PolyExpr:
-        node = self._factor()
+    def _term(self) -> tuple[PolyExpr, int]:
+        node, degree = self._factor()
         while self._token.kind == "*":
-            self._advance()
-            node = Mul(node, self._factor())
-        return node
+            tok = self._advance()
+            rhs, rhs_degree = self._factor()
+            node = Mul(node, rhs)
+            degree = _bounded(degree + rhs_degree, tok)
+        return node, degree
 
-    def _factor(self) -> PolyExpr:
+    def _factor(self) -> tuple[PolyExpr, int]:
         negations = 0
         while self._token.kind == "-":
             self._advance()
             negations += 1
-        node = self._atom()
+        node, degree = self._atom()
         for _ in range(negations):
             node = Neg(node)
-        return node
+        return node, degree
 
-    def _atom(self) -> PolyExpr:
+    def _atom(self) -> tuple[PolyExpr, int]:
         tok = self._token
         if tok.kind in ("int", "rational"):
             self._advance()
             node: PolyExpr = Lit(self._literal_value(tok))
             # implicit multiplication: literal directly before a variable
-            # or parenthesis, as in "3x" or "2(x+1)"
+            # or parenthesis, as in "3x" or "2(x+1)"; a literal adds no degree
             if self._token.kind in ("ident", "("):
-                return Mul(node, self._atom())
-            return self._power_suffix(node)
+                rhs, degree = self._atom()
+                return Mul(node, rhs), degree
+            return self._power_suffix(node, 0)
         if tok.kind == "ident":
             self._advance()
             if self._var_name is None:
@@ -243,21 +246,23 @@ class _Parser:
                     "only one variable is allowed",
                     tok.offset,
                 )
-            return self._power_suffix(Var(tok.text))
+            return self._power_suffix(Var(tok.text), 1)
         if tok.kind == "(":
             self._advance()
-            node = self._expr()
+            node, degree = self._expr()
             if self._token.kind != ")":
                 raise self._error("')'")
             self._advance()
-            return self._power_suffix(node)
+            return self._power_suffix(node, degree)
         raise self._error("a number, a variable, or '('")
 
-    def _power_suffix(self, base: PolyExpr) -> PolyExpr:
+    def _power_suffix(self, base: PolyExpr, degree: int) -> tuple[PolyExpr, int]:
         if self._token.kind != "^":
-            return base
+            return base, degree
         self._advance()
-        return Pow(base, self._exponent_chain())
+        tok = self._token
+        exponent = self._exponent_chain()
+        return Pow(base, exponent), _bounded(degree * exponent, tok)
 
     def _exponent_chain(self) -> int:
         """One or more '^'-separated integer literals, folded right to left
@@ -292,6 +297,15 @@ class _Parser:
         return Fraction(num, den)
 
 
+def _bounded(degree: int, tok: _Token) -> int:
+    """degree, or a ParseError at tok if it exceeds MAX_DEGREE."""
+    if degree > MAX_DEGREE:
+        raise ParseError(
+            f"degree bound {degree} exceeds the maximum degree {MAX_DEGREE}", tok.offset
+        )
+    return degree
+
+
 def _int(digits: str, offset: int) -> int:
     """int() of a digit token; past Python's int-string limit, a ParseError."""
     try:
@@ -319,8 +333,6 @@ def lower(e: PolyExpr) -> Polynomial:
         return -lower(e.operand)
     if isinstance(e, Add):
         return lower(e.left) + lower(e.right)
-    if isinstance(e, Sub):
-        return lower(e.left) - lower(e.right)
     if isinstance(e, Mul):
         return lower(e.left) * lower(e.right)
     if isinstance(e, Pow):

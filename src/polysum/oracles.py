@@ -22,8 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .basis import RisingFactorialPoly
-from .expr_parser import Add, Lit, Mul, Neg, Pow, PolyExpr, Sub, Var
+from .expr_parser import Add, Lit, Mul, Neg, Pow, PolyExpr, Var
 from .poly import ONE, Polynomial
 
 __all__ = [
@@ -73,32 +72,29 @@ def sum_rising_factorial(i: int) -> Polynomial:
     return rising_factorial_basis_poly(i + 1).scale(Fraction(1, i + 1))
 
 
-def solve_interpolation_system(f: Polynomial) -> RisingFactorialPoly:
-    """Recover the rising-factorial coefficients by forward substitution.
+def solve_interpolation_system(f: Polynomial) -> tuple[Fraction, ...]:
+    """Recover the rising-factorial weights (w_0, ..., w_n) by forward
+    substitution.
 
     Matching f and its expansion at the points 0, -1, ..., -n gives a
     lower-triangular system: the length-i product evaluated at -j is
     (-1)^i * j(j-1)...(j-i+1) for i <= j and 0 for i > j.  Solving row by
-    row yields the coefficients without using the closed form, which makes
+    row yields the weights without using the closed form, which makes
     this an independent cross-check for to_rising_basis.
     """
-    if not f:
-        return RisingFactorialPoly(Fraction(0), ())
-    n = int(f.degree)
-    l0 = f(0)
-    coeffs: list[Fraction] = []
-    for j in range(1, n + 1):
-        acc = l0
+    weights = [f(0)] if f else []
+    for j in range(1, f.degree + 1):
+        acc = weights[0]
         falling = 1  # j(j-1)...(j-i+1), built incrementally over i
         for i in range(1, j):
             falling *= j - i + 1
-            term = coeffs[i - 1] * falling
+            term = weights[i] * falling
             acc += -term if i % 2 else term
         diagonal = Fraction(factorial(j))  # the i=j product is j!
         if j % 2:
             diagonal = -diagonal
-        coeffs.append((f(-j) - acc) / diagonal)
-    return RisingFactorialPoly(l0, tuple(coeffs))
+        weights.append((f(-j) - acc) / diagonal)
+    return tuple(weights)
 
 
 def coefficient_from_sum(n: int, i: int) -> Fraction:
@@ -193,8 +189,6 @@ def evaluate(e: PolyExpr, t: Fraction | int) -> Fraction:
         return -evaluate(e.operand, t)
     if isinstance(e, Add):
         return evaluate(e.left, t) + evaluate(e.right, t)
-    if isinstance(e, Sub):
-        return evaluate(e.left, t) - evaluate(e.right, t)
     if isinstance(e, Mul):
         return evaluate(e.left, t) * evaluate(e.right, t)
     if isinstance(e, Pow):

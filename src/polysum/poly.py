@@ -8,17 +8,12 @@ empty tuple.  All values are immutable and all operations are pure.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-__all__ = ["Polynomial", "NEG_INFINITY"]
+__all__ = ["Polynomial"]
 
 Scalar = Union[Fraction, int]
-
-# Degree of the zero polynomial.  A sentinel only (never used in coefficient
-# arithmetic); compares less than every finite degree.
-NEG_INFINITY = -math.inf
 
 
 class Polynomial:
@@ -48,10 +43,8 @@ class Polynomial:
         return cls((0,) * power + (coeff,))
 
     @property
-    def degree(self) -> int | float:
-        """Index of the last nonzero coefficient; NEG_INFINITY for zero."""
-        if not self.coeffs:
-            return NEG_INFINITY
+    def degree(self) -> int:
+        """Index of the last nonzero coefficient; -1 for zero."""
         return len(self.coeffs) - 1
 
     @property

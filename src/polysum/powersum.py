@@ -1,19 +1,19 @@
 """Closed forms for power sums S_n(m) = 1^n + 2^n + ... + m^n.
 
-The expanded form is built without Bernoulli numbers:
+The expanded form needs no Bernoulli numbers: basis.rising_weights takes the
+rising-factorial weights of x^n from its values (-k)^n, k = 0..n, and
+summation.telescope, the step every summand goes through, shifts them into
+S_n.  Its leading coefficient, the paper's closing value 1/(n+1), is checked
+on every build.  In the paper's notation
 
     S_n(m) = (-1)^n * sum_{i=1..n} a_i * m(m+1)(m+2)...(m+i),
 
     a_i = 1/(i+1) * sum_{k=0..i} (-1)^k * k^n / (k! * (i-k)!),
 
 where the inner sum is (-1)^i S(n,i), S the Stirling numbers of the second
-kind: basis.rising_weights takes it as the i-th forward difference of the
-ints k^n, k = 0..n, the same kernel as the general route.  a_1 = -1/2, and
-the paper's closing value a_n = (-1)^n/(n+1) is checked on every call.
-basis.from_rising_basis assembles S_n from weight 0 on m and (-1)^n a_i on
-m(m+1)...(m+i), whose int coefficients are the first-kind Stirling numbers,
-over the common denominator of the weights.  For
-n >= 3 the common factor m(m+1) can be pulled out, giving the factored form
+kind.  coefficients(n) returns these a_i, checking a_n = (-1)^n/(n+1) on
+every call.  For n >= 3 the common factor m(m+1) can be pulled out, giving
+the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
 
@@ -26,8 +26,9 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .basis import RisingFactorialPoly, from_rising_basis, rising_weights
+from .basis import rising_weights
 from .poly import ONE, Polynomial, join_signed
+from .summation import telescope
 
 __all__ = [
     "PowerSumCoefficients",
@@ -62,7 +63,7 @@ def coefficients(n: int) -> PowerSumCoefficients:
     ArithmeticError unless a_n is the paper's closing value (-1)^n/(n+1)."""
     if n < 1:
         raise ValueError(f"exponent must be >= 1 (got {n})")
-    weights = rising_weights([k**n for k in range(n + 1)])
+    _, *weights = rising_weights([k**n for k in range(n + 1)])
     # per-call tuples are built from lists: tuple(<generator>) over-allocates
     # and resizes, which raised peak memory by 8% over many cold builds
     coeffs = tuple([w / (i + 1) for i, w in enumerate(weights, start=1)])
@@ -78,14 +79,19 @@ def coefficients(n: int) -> PowerSumCoefficients:
 def power_sum_closed_form(n: int) -> Polynomial:
     """S_n(m) expanded in the monomial basis of m.
 
-    Degree n+1, leading coefficient 1/(n+1), divisible by m(m+1).  Cached;
-    results are immutable, so concurrent use is safe.
+    Degree n+1, divisible by m(m+1); ArithmeticError unless the leading
+    coefficient is 1/(n+1).  Cached; results are immutable, so concurrent
+    use is safe.
     """
     if n < 1:
         raise ValueError(f"exponent must be >= 1 (got {n})")
-    sign = -1 if n % 2 else 1
-    weights = (Fraction(0), *[sign * c for c in coefficients(n).coeffs])
-    return from_rising_basis(RisingFactorialPoly(Fraction(0), weights))
+    closed = telescope(rising_weights([(-k) ** n for k in range(n + 1)]))
+    leading = closed.coefficient(n + 1)
+    if leading != Fraction(1, n + 1):
+        raise ArithmeticError(
+            f"leading coefficient disagrees with 1/(n+1) for n={n}: {leading} != 1/{n + 1}"
+        )
+    return closed
 
 
 @dataclass(frozen=True)

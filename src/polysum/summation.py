@@ -3,13 +3,13 @@
 For a polynomial f of degree n, the sum g(m) = f(1) + f(2) + ... + f(m) is
 itself a polynomial of degree n+1.  The telescoping identity
 
-    sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i) / (i+1)
+    sum_{x=1..m} x(x+1)...(x+i-1) = m(m+1)...(m+i) / (i+1),
 
-shifts the rising-factorial weights c_i of f one product up: g has constant
-0, weight f(0) on m and weight c_i/(i+1) on m(m+1)...(m+i).  Both basis
-kernels run as int arithmetic over one common denominator: the c_i come from
-forward differences of D*f(-k), and the assembly multiplies int rows by
-(m + i), the first-kind Stirling recurrence.
+which holds for i = 0 too (the length-0 product is 1), shifts the
+rising-factorial weights (w_0, ..., w_n) of f one product up: g has the
+weights (0, w_0/1, w_1/2, ..., w_n/(n+1)).  telescope is that one step; it
+serves sum_polynomial, fed the weights of f from basis.to_rising_basis, and
+powersum.power_sum_closed_form, fed the weights of x^n.
 
 Every closed form has zero constant term (g is divisible by m).  The
 literal term-by-term reference the closed forms are tested against is
@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
-from .basis import RisingFactorialPoly, from_rising_basis, to_rising_basis
+from .basis import from_rising_basis, to_rising_basis
 from .poly import Polynomial
 
 __all__ = [
     "ClosedFormSum",
+    "telescope",
     "sum_polynomial",
     "sum_range",
 ]
@@ -55,13 +57,16 @@ class ClosedFormSum:
         return self.poly(m)
 
 
+def telescope(weights: Sequence[Fraction]) -> Polynomial:
+    """g(m) = sum_{x=1..m} f(x) in the monomial basis of m, for the f with
+    rising-factorial weights (w_0, ..., w_n): g has the weights
+    (0, w_0/1, w_1/2, ..., w_n/(n+1))."""
+    return from_rising_basis([0, *[w / i for i, w in enumerate(weights, start=1)]])
+
+
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f."""
-    expansion = to_rising_basis(f)
-    weights = (expansion.constant, *[c / i for i, c in enumerate(expansion.coeffs, start=2)])
-    g = from_rising_basis(RisingFactorialPoly(Fraction(0), weights))
-    degree = int(f.degree) if f else 0
-    return ClosedFormSum(g, degree)
+    return ClosedFormSum(telescope(to_rising_basis(f)), max(f.degree, 0))
 
 
 def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:

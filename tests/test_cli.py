@@ -105,6 +105,35 @@ def test_sum_of_a_400th_power(capsys):
     assert out == f"{2**400 + 3**400}\n"
 
 
+def test_degree_past_the_bound_exits_at_once():
+    # lowering would expand a degree-10,000 polynomial; the parser stops first
+    result = subprocess.run(
+        [sys.executable, "-m", "polysum", "--json", "sum", "--expr", "(x^100)^100",
+         "--lo", "1", "--hi", "2"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert result.returncode == 2
+    assert "maximum degree 1000" in result.stderr
+    assert json.loads(result.stdout)["offset"] == 8
+
+
+def test_closed_stdout_exits_cleanly():
+    # about 500 KB of output, far past a pipe buffer, so the write itself fails
+    with subprocess.Popen(
+        [sys.executable, "-m", "polysum", "closed-form", "--n", "1000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert len(proc.stdout.read(20)) == 20
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert code == 2
+    assert err == b""  # no traceback, no "Exception ignored" line
+
+
 def test_json_parse_error_carries_the_offset(capsys):
     code, out, err = run_cli(capsys, "--json", "sum", "--expr", "x^2 +* 1")
     assert code == 2

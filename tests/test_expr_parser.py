@@ -12,9 +12,9 @@ from polysum.expr_parser import (
     Add,
     Lit,
     Mul,
+    Neg,
     ParseError,
     Pow,
-    Sub,
     Var,
     lower,
     parse,
@@ -86,7 +86,7 @@ def test_literal_power():
 
 
 def test_subtraction_chains_left():
-    assert parse("x - 1 - 2") == Sub(Sub(Var("x"), Lit(Fraction(1))), Lit(Fraction(2)))
+    assert parse("x - 1 - 2") == Add(Add(Var("x"), Neg(Lit(Fraction(1)))), Neg(Lit(Fraction(2))))
     assert parse_polynomial("x - 1 - 2") == Polynomial((-3, 1))
 
 
@@ -172,6 +172,28 @@ def test_exponent_at_the_bound_is_accepted():
     assert parse("x^10^3") == Pow(Var("x"), 1000)
     assert parse("x^1000^1") == Pow(Var("x"), 1000)
     assert parse("x^1^1000") == Pow(Var("x"), 1)
+
+
+@pytest.mark.parametrize(
+    ("src", "offset"),
+    [
+        ("(x^100)^100", 8),  # the exponent token that crosses the bound
+        ("(x^999)^999", 8),  # would lower to degree 998,001
+        ("x^600*x^600", 5),  # the '*' token
+        ("3x^600*x^600", 6),
+        ("((x^10)^10)^11", 12),
+    ],
+)
+def test_degree_bound_is_checked_before_lowering(src, offset):
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    assert excinfo.value.offset == offset
+    assert f"maximum degree {MAX_DEGREE}" in str(excinfo.value)
+
+
+@pytest.mark.parametrize("src", ["(x+1)^1000", "x^500*x^500", "2^1000*x", "-(x^10)^100"])
+def test_degree_at_the_bound_is_accepted(src):
+    parse(src)  # parse only: lowering (x+1)^1000 takes seconds
 
 
 def test_unexpected_end_of_input():

@@ -12,7 +12,6 @@ SRC = Path(polysum.__file__).resolve().parent
 
 PRODUCTION_NAMES = {
     "Polynomial",
-    "RisingFactorialPoly",
     "to_rising_basis",
     "from_rising_basis",
     "ClosedFormSum",

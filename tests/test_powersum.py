@@ -73,6 +73,18 @@ def test_coefficients_check_the_closing_value(monkeypatch):
         coefficients(4)
 
 
+def test_closed_form_checks_the_leading_coefficient(monkeypatch):
+    import polysum.powersum as powersum_module
+
+    real = powersum_module.rising_weights
+    monkeypatch.setattr(
+        powersum_module, "rising_weights", lambda values: real(values)[:-1] + (Fraction(0),)
+    )
+    power_sum_closed_form.cache_clear()
+    with pytest.raises(ArithmeticError):
+        power_sum_closed_form(4)
+
+
 def test_coefficient_accessor_bounds():
     a = coefficients(3)
     with pytest.raises(ValueError):
