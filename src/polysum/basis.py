@@ -19,8 +19,11 @@ sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i) (see powersum).
 from_rising_basis is the one kernel that assembles weights on these products
 into monomials; multiplying by (x + i) is the recurrence of the unsigned
 Stirling numbers of the first kind, the coefficients of x(x+1)...(x+i).  Both
-kernels are int work over one common denominator, with one Fraction per
-output coefficient.  Summation is one shift of the weights (see summation).
+kernels are int work over one common denominator.  to_rising_basis reads
+f's int numerators and denominator directly, and the weights kernel makes
+one Fraction per weight; from_rising_basis hands its int row and denominator
+to Polynomial as they are, with no Fraction per coefficient.  Summation is
+one shift of the weights (see summation).
 """
 
 from __future__ import annotations
@@ -45,16 +48,20 @@ def _over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[int, list[in
 
 
 def rising_weights(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) values[k] for i = 0..len(values)-1.
+    """w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) values[k] for i = 0..len(values)-1."""
+    return _differences(*_over_common_denominator(values))
 
-    The sum is (-1)^i Delta^i v_0, so the values V_k = D*v_k are differenced
-    as ints and each weight is one Fraction, (-1)^i Delta^i V_0 / (i! * D).
+
+def _differences(scale: int, row: list[int]) -> tuple[Fraction, ...]:
+    """The weights of the values row[k] / scale.
+
+    Their alternating sum is (-1)^i Delta^i v_0, so the ints are differenced
+    and each weight is one Fraction, (-1)^i Delta^i row[0] / (i! * scale).
     """
-    scale, row = _over_common_denominator(values)
     weights = []
-    for i in range(len(values)):
+    for i in range(len(row)):
         weights.append(Fraction(-row[0] if i % 2 else row[0], scale))
-        row = [b - a for a, b in zip(row, row[1:])]  # Delta^(i+1) V_k
+        row = [b - a for a, b in zip(row, row[1:])]  # Delta^(i+1) row[k]
         scale *= i + 1
     return tuple(weights)
 
@@ -64,16 +71,16 @@ def to_rising_basis(f: Polynomial) -> tuple[Fraction, ...]:
 
     n = deg(f) exactly, so no forced-zero trailing weights are stored; the
     zero polynomial maps to ().  The values D*f(-k) come from integer Horner
-    on D*f.
+    on f's int numerators, D being its denominator.
     """
-    den, scaled = _over_common_denominator(f.coeffs)
+    nums = f.numerators
     values = []
-    for k in range(len(scaled)):
+    for k in range(len(nums)):
         acc = 0
-        for c in reversed(scaled):
+        for c in reversed(nums):
             acc = acc * -k + c
         values.append(acc)
-    return tuple([w / den for w in rising_weights(values)])
+    return _differences(f.denominator, values)
 
 
 def from_rising_basis(weights: Sequence[Fraction | int]) -> Polynomial:
@@ -84,12 +91,12 @@ def from_rising_basis(weights: Sequence[Fraction | int]) -> Polynomial:
 
         acc <- acc * (x + i) + W_i    for i = n, ..., 0,
 
-    each product the first-kind Stirling recurrence new[j] = old[j-1] + i*old[j],
-    and divided by D once per monomial coefficient.
+    each product the first-kind Stirling recurrence new[j] = old[j-1] + i*old[j];
+    that row over D is the result.
     """
     den, scaled = _over_common_denominator(weights)
     acc: list[int] = []
     for i in range(len(scaled) - 1, -1, -1):
         acc = [a + i * b for a, b in zip([0, *acc], [*acc, 0])]
         acc[0] += scaled[i]
-    return Polynomial([Fraction(a, den) for a in acc])
+    return Polynomial.from_numerators(acc, den)

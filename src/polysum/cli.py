@@ -28,6 +28,10 @@ from .summation import sum_polynomial, sum_range
 
 __all__ = ["main"]
 
+# Largest m that bench --m and verify --max-m accept: the brute-force sums
+# behind them cost one exact addition per term.
+MAX_M = 10**5
+
 
 class _UsageError(Exception):
     pass
@@ -186,6 +190,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(f"--max-n must be <= {MAX_DEGREE} (got {args.max_n})")
     if args.max_m < 1:
         raise _UsageError(f"--max-m must be >= 1 (got {args.max_m})")
+    if args.max_m > MAX_M:
+        raise _UsageError(f"--max-m must be <= {MAX_M} (got {args.max_m})")
     selected = ["identities", "oracle", "divisibility"] if args.suite == "all" else [args.suite]
     results = []
     for name in selected:
@@ -247,6 +253,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise _UsageError(f"--m must be a comma-separated list of integers: {e}") from e
     if not m_values or any(m < 1 for m in m_values):
         raise _UsageError("--m values must be integers >= 1")
+    if max(m_values) > MAX_M:
+        raise _UsageError(f"--m values must be <= {MAX_M} (got {max(m_values)})")
 
     n = args.n
     monomial = Polynomial.monomial(1, n)

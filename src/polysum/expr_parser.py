@@ -14,13 +14,15 @@ tighter than unary minus ("-x^2" is -(x^2)) and are right-associative
 most MAX_DEGREE.  So must the degree bound of every subexpression, taken
 before anything is lowered: 0 for a literal, 1 for the variable, the max of
 the operands for '+' and '-', their sum for '*' and e times the base for
-'^e'.  Subtraction a - b parses as Add(a, Neg(b)).  Implicit
-multiplication is accepted between a literal and a variable or parenthesis
-("3x", "2(x+1)").  Whitespace is insignificant.
+'^e'.  Each '(' and each unary '-' opens one level of nesting, and at
+most MAX_NESTING levels may be open at once.  Subtraction a - b parses as
+Add(a, Neg(b)).  Implicit multiplication is accepted between a literal and
+a variable or parenthesis ("3x", "2(x+1)").  Whitespace is insignificant.
 Exactly one variable may appear; the first identifier fixes its name.
 
 Syntax errors raise ParseError carrying the byte offset into the UTF-8
-encoding of the source.
+encoding of the source.  lower walks the tree with an explicit stack, so a
+long '+' or '*' chain or a run of unary minuses costs no call stack.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .poly import Polynomial
 
 __all__ = [
     "MAX_DEGREE",
+    "MAX_NESTING",
     "ParseError",
     "PolyExpr",
     "Lit",
@@ -52,6 +55,11 @@ __all__ = [
 # Largest exponent and degree bound the parser accepts, and the largest n the
 # CLI builds a power-sum closed form for.
 MAX_DEGREE = 1000
+
+# Most '(' and unary '-' the parser lets stand open at once.  A '(' costs the
+# recursive descent at most five stack frames, so this stays well inside
+# Python's default recursion limit of 1000.
+MAX_NESTING = 100
 
 
 class ParseError(ValueError):
@@ -174,6 +182,7 @@ class _Parser:
         self._tokens = tokens
         self._index = 0
         self._var_name: str | None = None
+        self._depth = 0  # '(' and unary '-' open at the current token
 
     @property
     def _token(self) -> _Token:
@@ -218,9 +227,10 @@ class _Parser:
     def _factor(self) -> tuple[PolyExpr, int]:
         negations = 0
         while self._token.kind == "-":
-            self._advance()
+            self._nest(self._advance())
             negations += 1
         node, degree = self._atom()
+        self._depth -= negations
         for _ in range(negations):
             node = Neg(node)
         return node, degree
@@ -248,13 +258,20 @@ class _Parser:
                 )
             return self._power_suffix(Var(tok.text), 1)
         if tok.kind == "(":
-            self._advance()
+            self._nest(self._advance())
             node, degree = self._expr()
             if self._token.kind != ")":
                 raise self._error("')'")
             self._advance()
+            self._depth -= 1
             return self._power_suffix(node, degree)
         raise self._error("a number, a variable, or '('")
+
+    def _nest(self, tok: _Token) -> None:
+        """Open one more level of nesting at tok, a '(' or a unary '-'."""
+        if self._depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than the maximum of {MAX_NESTING}", tok.offset)
+        self._depth += 1
 
     def _power_suffix(self, base: PolyExpr, degree: int) -> tuple[PolyExpr, int]:
         if self._token.kind != "^":
@@ -267,24 +284,33 @@ class _Parser:
     def _exponent_chain(self) -> int:
         """One or more '^'-separated integer literals, folded right to left
         (x^2^3 = x^(2^3)).  A literal or fold past MAX_DEGREE is an error at
-        its token, so no fold exceeds MAX_DEGREE ** MAX_DEGREE."""
-        tok = self._token
-        if tok.kind == "-":
-            raise ParseError("negative exponents are not supported", tok.offset)
-        if tok.kind == "rational":
-            raise ParseError(
-                f"exponent must be a literal nonnegative integer, got rational {tok.text!r}",
-                tok.offset,
-            )
-        if tok.kind != "int":
-            raise self._error("a literal nonnegative integer exponent")
-        self._advance()
-        value = _int(tok.text, tok.offset)
-        if value <= MAX_DEGREE and self._token.kind == "^":
+        its token, so no fold exceeds MAX_DEGREE ** MAX_DEGREE.  The chain is
+        read in a loop, so its length costs no stack."""
+        chain: list[tuple[int, _Token]] = []
+        while True:
+            tok = self._token
+            if tok.kind == "-":
+                raise ParseError("negative exponents are not supported", tok.offset)
+            if tok.kind == "rational":
+                raise ParseError(
+                    f"exponent must be a literal nonnegative integer, got rational {tok.text!r}",
+                    tok.offset,
+                )
+            if tok.kind != "int":
+                raise self._error("a literal nonnegative integer exponent")
             self._advance()
-            value = value ** self._exponent_chain()
-        if value > MAX_DEGREE:
-            raise ParseError(f"exponent exceeds the maximum degree {MAX_DEGREE}", tok.offset)
+            value = _int(tok.text, tok.offset)
+            if value > MAX_DEGREE:
+                raise ParseError(f"exponent exceeds the maximum degree {MAX_DEGREE}", tok.offset)
+            chain.append((value, tok))
+            if self._token.kind != "^":
+                break
+            self._advance()
+        value = chain.pop()[0]
+        for base, tok in reversed(chain):
+            value = base**value
+            if value > MAX_DEGREE:
+                raise ParseError(f"exponent exceeds the maximum degree {MAX_DEGREE}", tok.offset)
         return value
 
     @staticmethod
@@ -324,20 +350,38 @@ def parse(src: str) -> PolyExpr:
 
 
 def lower(e: PolyExpr) -> Polynomial:
-    """Evaluate an expression tree bottom-up into a Polynomial."""
-    if isinstance(e, Lit):
-        return Polynomial.constant(e.value)
-    if isinstance(e, Var):
-        return Polynomial((0, 1))
-    if isinstance(e, Neg):
-        return -lower(e.operand)
-    if isinstance(e, Add):
-        return lower(e.left) + lower(e.right)
-    if isinstance(e, Mul):
-        return lower(e.left) * lower(e.right)
-    if isinstance(e, Pow):
-        return lower(e.base) ** e.exponent
-    raise TypeError(f"not a PolyExpr node: {e!r}")
+    """Evaluate an expression tree bottom-up into a Polynomial.
+
+    The walk keeps its own stack: a node is pushed once to lower its
+    operands and again, wrapped in a 1-tuple, to combine their values.
+    """
+    todo: list = [e]
+    values: list[Polynomial] = []
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            node = node[0]
+            if isinstance(node, Neg):
+                values.append(-values.pop())
+            elif isinstance(node, Pow):
+                values.append(values.pop() ** node.exponent)
+            else:
+                right = values.pop()
+                left = values.pop()
+                values.append(left + right if isinstance(node, Add) else left * right)
+        elif isinstance(node, Lit):
+            values.append(Polynomial.constant(node.value))
+        elif isinstance(node, Var):
+            values.append(Polynomial((0, 1)))
+        elif isinstance(node, Neg):
+            todo += ((node,), node.operand)
+        elif isinstance(node, Pow):
+            todo += ((node,), node.base)
+        elif isinstance(node, (Add, Mul)):
+            todo += ((node,), node.right, node.left)
+        else:
+            raise TypeError(f"not a PolyExpr node: {node!r}")
+    return values.pop()
 
 
 def parse_polynomial(src: str) -> Polynomial:

@@ -1,15 +1,32 @@
-"""Dense univariate polynomial arithmetic over exact rationals.
+"""Dense univariate polynomial arithmetic over exact rationals, done on ints.
 
-A polynomial is a tuple of Fraction coefficients, index j holding the
-coefficient of x^j.  Trailing zeros are trimmed at construction, so
-structural equality is mathematical equality; the zero polynomial is the
-empty tuple.  All values are immutable and all operations are pure.
+A polynomial is a tuple of int numerators over one positive common
+denominator: numerators[j] / denominator is the coefficient of x^j.  The
+form is canonical.  Trailing zero numerators are trimmed and the gcd of the
+numerators and the denominator is 1, so equal polynomials have equal
+(numerators, denominator) pairs; the zero polynomial is ((), 1).  coeffs
+gives the coefficients as Fractions.  All values are immutable and all
+operations are pure.
+
+Sums and scalar multiples are int work on rows rescaled to the lcm of the
+denominators, and evaluation at t = p/q is integer Horner with one Fraction
+at the end.  A product first strips each factor's run of low-order zero
+coefficients and shifts the result back afterwards, so x^k and c*x^k are
+one-term rows.  If a factor is then one term, the product is a scaling.
+Otherwise it is one Kronecker substitution.  Each row is packed into one
+big int, coefficient j in byte-aligned slot j, w bytes wide, where
+8w - 1 >= the bit length of the product's coefficient bound
+max|a| * max|b| * min(len a, len b); a signed row packs as its positive
+part minus its negative part.  After one bigint multiply, a bias of
+2^(8w-1) in every slot makes each slot read back non-negative, so the
+product's coefficients are slices of one to_bytes call, less the bias.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Union
+from math import gcd, lcm
+from typing import Iterable, Sequence, Union
 
 __all__ = ["Polynomial"]
 
@@ -17,20 +34,28 @@ Scalar = Union[Fraction, int]
 
 
 class Polynomial:
-    """Immutable dense polynomial with Fraction coefficients."""
+    """Immutable dense polynomial: int numerators over one common denominator."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
-    coeffs: tuple[Fraction, ...]
+    numerators: tuple[int, ...]
+    denominator: int
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
+        den = lcm(*[c.denominator for c in cs])
+        _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @classmethod
+    def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> Polynomial:
+        """The polynomial sum_j numerators[j] x^j / denominator, for a positive
+        int denominator."""
+        if denominator <= 0:
+            raise ValueError(f"the denominator must be positive (got {denominator})")
+        return _canonical(list(numerators), denominator)
 
     @classmethod
     def constant(cls, c: Scalar) -> Polynomial:
@@ -43,32 +68,36 @@ class Polynomial:
         return cls((0,) * power + (coeff,))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, index j holding the one of x^j."""
+        den = self.denominator
+        return tuple([Fraction(a, den) for a in self.numerators])
+
+    @property
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for zero."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return self.coefficient(len(self.numerators) - 1)
 
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of x^power (0 beyond the stored degree)."""
-        if 0 <= power < len(self.coeffs):
-            return self.coeffs[power]
+        if 0 <= power < len(self.numerators):
+            return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.numerators == other.numerators and self.denominator == other.denominator
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
@@ -79,16 +108,17 @@ class Polynomial:
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.numerators, other.numerators, self.denominator
+        if den != other.denominator:
+            den = lcm(den, other.denominator)
+            a = _scaled(a, den // self.denominator)
+            b = _scaled(b, den // other.denominator)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return _canonical([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     def __neg__(self) -> Polynomial:
-        return Polynomial(-c for c in self.coeffs)
+        return _canonical([-a for a in self.numerators], self.denominator)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -97,15 +127,7 @@ class Polynomial:
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, Polynomial):
-            if not self.coeffs or not other.coeffs:
-                return Polynomial()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
+            return _product(self, other)
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         return NotImplemented
@@ -118,30 +140,35 @@ class Polynomial:
     def __pow__(self, exponent: int) -> Polynomial:
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power must be a nonnegative int (got {exponent})")
-        result = Polynomial((1,))
+        result = ONE
         base = self
         e = exponent
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:
+                base = base * base
         return result
 
     def scale(self, c: Scalar) -> Polynomial:
         """Multiply every coefficient by the scalar c."""
         c = Fraction(c)
-        if c == 0:
-            return Polynomial()
-        return Polynomial(a * c for a in self.coeffs)
+        return _canonical(_scaled(self.numerators, c.numerator), self.denominator * c.denominator)
 
     def __call__(self, t: Scalar) -> Fraction:
-        """Evaluate at t by Horner's scheme, exactly."""
-        t = Fraction(t)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        """Evaluate at t = p/q exactly: Horner on the ints, scaled by powers of q."""
+        if not isinstance(t, (int, Fraction)):
+            t = Fraction(t)
+        p, q = t.numerator, t.denominator
+        nums = self.numerators
+        if not nums:
+            return Fraction(0)
+        acc, qk = nums[-1], 1
+        for c in reversed(nums[:-1]):
+            qk *= q
+            acc = acc * p + c * qk
+        return Fraction(acc, self.denominator * qk)
 
     def divide_exact(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Euclidean division: return (quotient, remainder).
@@ -172,11 +199,12 @@ class Polynomial:
         Unit coefficients are not printed ("m^2", "-m").  The output parses
         back to an equal polynomial through expr_parser.
         """
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         parts: list[tuple[bool, str]] = []
-        for power in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[power]
+        coeffs = self.coeffs
+        for power in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[power]
             if c == 0:
                 continue
             mag = abs(c)
@@ -187,6 +215,78 @@ class Polynomial:
                 body = sym if mag == 1 else f"{mag}*{sym}"
             parts.append((c < 0, body))
         return join_signed(parts)
+
+
+def _init(p: Polynomial, nums: list[int], den: int) -> None:
+    """Set p to the int row nums over den > 0, trimmed and reduced."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    if g != 1:
+        nums = [a // g for a in nums]
+        den //= g
+    object.__setattr__(p, "numerators", tuple(nums))
+    object.__setattr__(p, "denominator", den)
+
+
+def _canonical(nums: list[int], den: int) -> Polynomial:
+    """The polynomial of the int row nums over den > 0."""
+    p = object.__new__(Polynomial)
+    _init(p, nums, den)
+    return p
+
+
+def _scaled(row: Sequence[int], c: int) -> Sequence[int]:
+    return row if c == 1 else [a * c for a in row]
+
+
+def _product(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p * q: strip the low-order zeros, then scale by a one-term factor or
+    multiply by Kronecker substitution, and shift back."""
+    a, b = p.numerators, q.numerators
+    if not a or not b:
+        return _canonical([], 1)
+    ka, kb = _low_zeros(a), _low_zeros(b)
+    a = a[ka:]
+    b = a if q is p else b[kb:]  # one object, so the product is a square
+    if len(a) == 1:
+        row = _scaled(b, a[0])
+    elif len(b) == 1:
+        row = _scaled(a, b[0])
+    else:
+        row = _kronecker(a, b)
+    return _canonical([0] * (ka + kb) + list(row), p.denominator * q.denominator)
+
+
+def _low_zeros(row: Sequence[int]) -> int:
+    """Length of the run of zeros at the low end of a nonzero row."""
+    k = 0
+    while not row[k]:
+        k += 1
+    return k
+
+
+def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The convolution of two int rows by one bigint multiply."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1  # bytes per slot: 8*width - 1 >= bits of bound
+    packed_a = _pack(a, width)
+    packed_b = packed_a if b is a else _pack(b, width)
+    n = len(a) + len(b) - 1
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    buf = (packed_a * packed_b + bias).to_bytes(width * n, "little")
+    return [
+        int.from_bytes(buf[i : i + width], "little") - half for i in range(0, width * n, width)
+    ]
+
+
+def _pack(row: Sequence[int], width: int) -> int:
+    """sum_j row[j] * 2^(8*width*j), as its positive part minus its negative part."""
+    zero = bytes(width)
+    pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in row])
+    neg = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in row])
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 # Shared constant; defined after the class so construction is available.

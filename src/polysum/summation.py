@@ -11,9 +11,10 @@ weights (0, w_0/1, w_1/2, ..., w_n/(n+1)).  telescope is that one step; it
 serves sum_polynomial, fed the weights of f from basis.to_rising_basis, and
 powersum.power_sum_closed_form, fed the weights of x^n.
 
-Every closed form has zero constant term (g is divisible by m).  The
-literal term-by-term reference the closed forms are tested against is
-oracles.brute_force_sum.
+Every closed form has zero constant term (g is divisible by m).
+sum_polynomial checks two cheap invariants on every call, g(1) = f(1) and
+the leading coefficient lc(f)/(n+1).  The literal term-by-term reference
+the closed forms are tested against is oracles.brute_force_sum.
 """
 
 from __future__ import annotations
@@ -65,8 +66,21 @@ def telescope(weights: Sequence[Fraction]) -> Polynomial:
 
 
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
-    """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f."""
-    return ClosedFormSum(telescope(to_rising_basis(f)), max(f.degree, 0))
+    """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f.
+
+    ArithmeticError unless g(1) = f(1) and, for f of degree n >= 0, g has
+    degree n+1 and leading coefficient lc(f)/(n+1).
+    """
+    g = telescope(to_rising_basis(f))
+    n = f.degree
+    if g(1) != f(1):
+        raise ArithmeticError(f"the closed form at m=1 is {g(1)}, not f(1) = {f(1)}")
+    if f and (g.degree != n + 1 or g.leading_coefficient * (n + 1) != f.leading_coefficient):
+        raise ArithmeticError(
+            f"the closed form's leading term {g.leading_coefficient}*m^{g.degree} "
+            f"is not lc(f)/(n+1) * m^(n+1) for n={n}"
+        )
+    return ClosedFormSum(g, max(n, 0))
 
 
 def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:

@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from polysum.cli import main
+import polysum.cli as cli_module
+from polysum.cli import MAX_M, main
 
 EXACT_DECIMAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -153,6 +154,24 @@ def test_json_argparse_errors_stay_plain_text(capsys):
     assert code == 2
     assert out == ""
     assert "--n" in err
+
+
+@pytest.mark.parametrize(
+    ("expr", "offset"),
+    [("(" * 300 + "x" + ")" * 300, 100), ("-" * 5000 + "x", 100), ("x - " + "-" * 101 + "x", 104)],
+)
+def test_deep_nesting_is_usage_error(capsys, expr, offset):
+    code, out, err = run_cli(capsys, "--json", "sum", f"--expr={expr}", "--lo", "1", "--hi", "2")
+    assert code == 2
+    assert err.startswith("error: cannot parse --expr") and "maximum of 100" in err
+    assert json.loads(out)["offset"] == offset
+
+
+def test_long_flat_sum_gives_its_answer(capsys):
+    expr = "+".join(["x"] * 20000)
+    code, out, _ = run_cli(capsys, "--json", "sum", "--expr", expr, "--lo", "1", "--hi", "2")
+    assert code == 0
+    assert json.loads(out)["value"] == "60000"
 
 
 def test_sum_with_bounds(capsys):
@@ -301,6 +320,39 @@ def test_bench_rejects_bad_m_list(capsys):
     assert "--m" in err
     code, _, _ = run_cli(capsys, "bench", "--n", "2", "--m", "0")
     assert code == 2
+
+
+def test_brute_force_m_at_the_bound_runs(capsys):
+    assert MAX_M == 10**5
+    code, out, _ = run_cli(capsys, "--json", "bench", "--n", "1", "--m", str(MAX_M), "--reps", "1")
+    assert code == 0
+    assert {row["value"] for row in json.loads(out)["rows"]} == {str(MAX_M * (MAX_M + 1) // 2)}
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "oracle", "--max-n", "1", "--max-m", str(MAX_M)
+    )
+    assert code == 0
+    assert out.startswith(f"oracle: {MAX_M}/{MAX_M} passed")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bench", "--n", "1", "--m", str(MAX_M + 1)],
+        ["bench", "--n", "1", "--m", f"5,{10**12}"],
+        ["verify", "--suite", "oracle", "--max-n", "1", "--max-m", str(MAX_M + 1)],
+        ["verify", "--suite", "identities", "--max-n", "1", "--max-m", str(MAX_M + 1)],
+    ],
+)
+def test_brute_force_m_past_the_bound_is_usage_error(capsys, monkeypatch, argv):
+    def no_work(*args):
+        raise AssertionError("work started before the bound was checked")
+
+    for name in ("brute_force_sum", "power_sum_value", "power_sum_closed_form"):
+        monkeypatch.setattr(cli_module, name, no_work)
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert code == 2
+    assert err.startswith(("error: --m values", "error: --max-m")) and f"<= {MAX_M}" in err
+    assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n")}
 
 
 def test_bench_unwritable_csv_is_usage_error(capsys, tmp_path):

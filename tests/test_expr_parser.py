@@ -9,6 +9,7 @@ import pytest
 from conftest import random_polynomial, random_rational
 from polysum.expr_parser import (
     MAX_DEGREE,
+    MAX_NESTING,
     Add,
     Lit,
     Mul,
@@ -172,6 +173,41 @@ def test_exponent_at_the_bound_is_accepted():
     assert parse("x^10^3") == Pow(Var("x"), 1000)
     assert parse("x^1000^1") == Pow(Var("x"), 1000)
     assert parse("x^1^1000") == Pow(Var("x"), 1)
+
+
+@pytest.mark.parametrize(
+    ("src", "offset"),
+    [
+        ("(" * 101 + "x" + ")" * 101, 100),
+        ("(" * 300 + "x" + ")" * 300, 100),
+        ("-" * 101 + "x", 100),
+        ("-" * 5000 + "x", 100),
+        ("-(" * 50 + "-x" + ")" * 50, 100),  # '(' and unary '-' count alike
+        ("x + " + "(" * 100 + "(x" + ")" * 101, 104),
+    ],
+)
+def test_nesting_is_bounded(src, offset):
+    assert MAX_NESTING == 100
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    assert excinfo.value.offset == offset
+    assert f"maximum of {MAX_NESTING}" in str(excinfo.value)
+
+
+def test_nesting_at_the_bound_is_accepted():
+    assert parse_polynomial("(" * 100 + "x" + ")" * 100) == X
+    assert parse_polynomial("-" * 100 + "x") == X
+    assert parse_polynomial("2(" * 100 + "x" + ")" * 100) == X.scale(2**100)
+    # levels close again: a hundred at a time, many times over
+    assert parse_polynomial(" + ".join(["(" * 100 + "x" + ")" * 100] * 50)) == X.scale(50)
+
+
+def test_long_chains_lower_without_recursion():
+    assert parse_polynomial("+".join(["x"] * 20000)) == X.scale(20000)
+    assert parse_polynomial("-".join(["x"] * 20001)) == X.scale(-19999)
+    assert parse_polynomial("*".join(["1"] * 20000) + "*x") == X
+    assert parse_polynomial("x" + "^1" * 5000) == X
+    assert parse("x^2" + "^1" * 5000) == Pow(Var("x"), 2)
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,210 @@
+"""The integer core of Polynomial against a plain Fraction reference.
+
+The reference keeps a polynomial as a list of Fraction coefficients and does
+schoolbook arithmetic on it, one Fraction operation per term or term pair,
+which is the representation Polynomial does not use.  The strategies lean on
+the cases the integer core treats specially: the zero polynomial, one-term
+rows, runs of zeros at either end, large denominators, and coefficients at
+the edges of the byte slots the Kronecker product packs them into.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, gcd
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from polysum.expr_parser import lower, parse
+from polysum.poly import Polynomial
+
+# ---------------------------------------------------------------------------
+# Reference model: ascending lists of Fractions, trailing zeros trimmed.
+
+
+def ref(cs) -> list[Fraction]:
+    out = [Fraction(c) for c in cs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def ref_add(a, b):
+    n = max(len(a), len(b))
+    return ref([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+
+
+def ref_neg(a):
+    return [-c for c in a]
+
+
+def ref_mul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref(out)
+
+
+def ref_eval(a, t):
+    return sum((c * t**j for j, c in enumerate(a)), Fraction(0))
+
+
+# ---------------------------------------------------------------------------
+# Strategies
+
+# ±(2^(8k) - 1) fills a k-byte slot, ±2^(8k) needs one more byte
+slot_edges = st.builds(
+    lambda k, sign, off: sign * ((1 << (8 * k)) - off),
+    st.integers(1, 6),
+    st.sampled_from((1, -1)),
+    st.sampled_from((0, 1)),
+)
+rationals = st.builds(Fraction, st.integers(-(10**25), 10**25), st.integers(1, 10**25))
+coefficients = st.one_of(st.just(0), st.integers(-9, 9), rationals, slot_edges)
+rows = st.builds(
+    lambda low, body, high: [0] * low + body + [0] * high,
+    st.integers(0, 4),
+    st.lists(coefficients, max_size=8),
+    st.integers(0, 3),
+)
+points = st.one_of(st.integers(-(10**6), 10**6), rationals)
+
+property_settings = settings(deadline=None)
+
+
+def check(p: Polynomial, expected: list[Fraction]) -> None:
+    """p equals the reference, coefficient for coefficient, in canonical form."""
+    assert list(p.coeffs) == expected
+    assert p.denominator > 0
+    assert gcd(p.denominator, *p.numerators) == 1
+    assert not p.numerators or p.numerators[-1] != 0
+
+
+# ---------------------------------------------------------------------------
+# Properties
+
+
+@property_settings
+@given(rows, rows)
+@example([], [1])
+@example([0, 0, 3], [0, 5])
+@example([2**16 - 1, 2**16 - 1], [2**16 - 1, -(2**16 - 1)])
+def test_add_sub_neg_match_reference(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    check(p, ref(a))
+    check(p + q, ref_add(ref(a), ref(b)))
+    check(p - q, ref_add(ref(a), ref_neg(ref(b))))
+    check(-p, ref_neg(ref(a)))
+
+
+@property_settings
+@given(rows, rows)
+@example([], [0, 1])
+@example([0, 0, 0, 1], [0, 0, 5])
+@example([2**8 - 1, 2**8 - 1], [2**8 - 1, 2**8 - 1])
+@example([-(2**16), 2**16, -(2**16)], [2**16, 2**16])
+@example([2**24 - 1] * 8, [-(2**24 - 1)] * 8)
+def test_product_matches_schoolbook(a, b):
+    p, q = Polynomial(a), Polynomial(b)
+    check(p * q, ref_mul(ref(a), ref(b)))
+    check(p * p, ref_mul(ref(a), ref(a)))
+
+
+@property_settings
+@given(rows, st.integers(0, 6))
+@example([0, 0, Fraction(-3, 7)], 5)
+@example([-(2**8), 2**8 - 1], 6)
+def test_power_matches_repeated_schoolbook(a, e):
+    expected = [Fraction(1)]
+    for _ in range(e):
+        expected = ref_mul(expected, ref(a))
+    check(Polynomial(a) ** e, expected)
+
+
+@property_settings
+@given(rows, coefficients)
+def test_scale_matches_reference(a, c):
+    expected = ref([x * Fraction(c) for x in ref(a)])
+    check(Polynomial(a).scale(c), expected)
+    check(Polynomial(a) * c, expected)
+    check(c * Polynomial(a), expected)
+
+
+@property_settings
+@given(rows, points)
+@example([], Fraction(1, 3))
+@example([0, 0, 1], Fraction(-2, 10**25))
+def test_evaluation_matches_reference(a, t):
+    value = Polynomial(a)(t)
+    assert isinstance(value, Fraction)
+    assert value == ref_eval(ref(a), Fraction(t))
+
+
+# ---------------------------------------------------------------------------
+# Canonical form
+
+
+def test_equal_polynomials_have_one_representation():
+    half = Polynomial((Fraction(1, 2), 1))
+    same = [
+        Polynomial((Fraction(2, 4), Fraction(3, 3))),
+        Polynomial.from_numerators((1, 2), 2),
+        Polynomial.from_numerators((3, 6), 6),
+        Polynomial((Fraction(1, 2), 1, 0, 0)),
+        # through sums and products over other common denominators
+        (half + Polynomial((Fraction(1, 7),))) - Polynomial((Fraction(1, 7),)),
+        half.scale(Fraction(3, 11)).scale(Fraction(11, 3)),
+        (half * Polynomial((Fraction(1, 6), Fraction(1, 6)))).divide_exact(
+            Polynomial((Fraction(1, 6), Fraction(1, 6)))
+        )[0],
+    ]
+    for p in same:
+        assert (p.numerators, p.denominator) == ((1, 2), 2)
+        assert p.coeffs == (Fraction(1, 2), Fraction(1))
+        assert p == half
+        assert hash(p) == hash(half)
+
+
+def test_from_numerators_needs_a_positive_denominator():
+    with pytest.raises(ValueError):
+        Polynomial.from_numerators((1, 2), -2)
+    with pytest.raises(ValueError):
+        Polynomial.from_numerators((1,), 0)
+
+
+def test_zero_polynomial_has_one_representation():
+    zeros = [
+        Polynomial(),
+        Polynomial((0, Fraction(0, 5))),
+        Polynomial((Fraction(1, 3),)) - Polynomial((Fraction(1, 3),)),
+        Polynomial((Fraction(1, 3), 2)).scale(0),
+        Polynomial.from_numerators((0, 0), 9),
+        Polynomial((Fraction(1, 3),)) * Polynomial(),
+    ]
+    for z in zeros:
+        assert (z.numerators, z.denominator) == ((), 1)
+        assert z == Polynomial() and hash(z) == hash(Polynomial())
+
+
+# ---------------------------------------------------------------------------
+# Large products through the parser
+
+
+def test_lowered_binomial_power_matches_the_binomial_theorem():
+    p = lower(parse("(2x-3)^1000"))
+    assert p.coeffs == tuple(
+        Fraction(comb(1000, k) * 2**k * (-3) ** (1000 - k)) for k in range(1001)
+    )
+
+
+def test_lowered_trinomial_power_is_palindromic():
+    p = lower(parse("(x^2+x+1)^400"))
+    assert p.degree == 800
+    assert p.denominator == 1
+    assert p.numerators == p.numerators[::-1]
+    assert p(1) == 3**400
+    assert p(-1) == 1

@@ -152,3 +152,23 @@ def test_telescoping():
         g = sum_polynomial(f).poly
         for m in range(2, 51):
             assert g(m) - g(m - 1) == f(m)
+
+
+@pytest.mark.parametrize(
+    ("tamper", "message"),
+    [
+        # one more at every m: g(1) is off, the leading term is not
+        (lambda g: g + Polynomial((1,)), "m=1"),
+        # the leading coefficient moves by 1 and m^1 by -1, so g(1) holds
+        (lambda g: g + Polynomial.monomial(1, g.degree) - X, "leading term"),
+        (lambda g: g + Polynomial.monomial(1, g.degree + 1) - X, "leading term"),
+    ],
+)
+def test_sum_polynomial_checks_its_invariants(monkeypatch, tamper, message):
+    import polysum.summation as summation_module
+
+    real = summation_module.from_rising_basis
+    monkeypatch.setattr(summation_module, "from_rising_basis", lambda w: tamper(real(w)))
+    f = Polynomial((Fraction(1, 3), -2, 0, 5))
+    with pytest.raises(ArithmeticError, match=message):
+        sum_polynomial(f)
