@@ -1,5 +1,4 @@
-"""Command-line interface: closed forms, exact sums, verification suites,
-and a closed-form-vs-brute-force benchmark.
+"""Command-line interface: closed forms, exact sums and verification suites.
 
 All numeric output is exact decimal text; nothing is ever rendered through
 floating point.  With --json, each command emits a single JSON object whose
@@ -12,25 +11,26 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
-import time
 from math import factorial
 from typing import Callable
 
 from .expr_parser import MAX_DEGREE, ParseError, parse_polynomial
-from .oracles import alternating_binomial_power_sum, brute_force_sum
+from .oracles import alternating_binomial_power_sum
 from .poly import Polynomial
 from .powersum import power_sum_closed_form, power_sum_factored_form, power_sum_value
 from .summation import sum_polynomial, sum_range
 
 __all__ = ["main"]
 
-# Largest m that bench --m and verify --max-m accept: the brute-force sums
-# behind them cost one exact addition per term.
+# Largest verify --max-m, and largest --max-n * --max-m for the oracle suite:
+# its literal sums cost one exact addition and one closed-form value per term.
 MAX_M = 10**5
+# Largest (degree + 1) * bit length of max(|lo - 1|, |hi|) that sum --lo/--hi
+# accepts: about the size of g(hi) - g(lo - 1), which sets the evaluation cost.
+MAX_SUM_BITS = 2**20
 
 
 class _UsageError(Exception):
@@ -115,6 +115,12 @@ def _cmd_sum(args: argparse.Namespace) -> int:
     if has_lo:
         if args.lo > args.hi:
             raise _UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
+        bits = (f.degree + 1) * max(abs(args.lo - 1), abs(args.hi)).bit_length()
+        if bits > MAX_SUM_BITS:
+            raise _UsageError(
+                f"--lo/--hi too large for degree {f.degree}: (degree + 1) * bit length of "
+                f"max(|lo - 1|, |hi|) must be <= {MAX_SUM_BITS} (got {bits})"
+            )
         value = sum_range(f, args.lo, args.hi)
         text = _exact_text(lambda: str(value))
         payload = {
@@ -192,6 +198,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(f"--max-m must be >= 1 (got {args.max_m})")
     if args.max_m > MAX_M:
         raise _UsageError(f"--max-m must be <= {MAX_M} (got {args.max_m})")
+    work = args.max_m * args.max_n
+    if args.suite in ("oracle", "all") and work > MAX_M:
+        raise _UsageError(
+            f"--max-m * --max-n must be <= {MAX_M} for the oracle suite (got {work})"
+        )
     selected = ["identities", "oracle", "divisibility"] if args.suite == "all" else [args.suite]
     results = []
     for name in selected:
@@ -216,101 +227,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     lines.append("all checks passed" if ok else "verification FAILED")
     _emit(args, payload, "\n".join(lines))
     return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
-# bench
-
-
-def _time_best_ns(fn, reps: int):
-    """Best-of-reps wall time; returns (nanos, value) and checks the value
-    is identical across repetitions."""
-    best = None
-    value = None
-    for _ in range(reps):
-        start = time.perf_counter_ns()
-        result = fn()
-        elapsed = time.perf_counter_ns() - start
-        if best is None or elapsed < best:
-            best = elapsed
-        if value is None:
-            value = result
-        elif result != value:
-            raise ArithmeticError("non-deterministic result across repetitions")
-    return best, value
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.n < 1:
-        raise _UsageError(f"--n must be >= 1 (got {args.n})")
-    if args.n > MAX_DEGREE:
-        raise _UsageError(f"--n must be <= {MAX_DEGREE} (got {args.n})")
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be >= 1 (got {args.reps})")
-    try:
-        m_values = [int(part) for part in args.m.split(",") if part != ""]
-    except ValueError as e:
-        raise _UsageError(f"--m must be a comma-separated list of integers: {e}") from e
-    if not m_values or any(m < 1 for m in m_values):
-        raise _UsageError("--m values must be integers >= 1")
-    if max(m_values) > MAX_M:
-        raise _UsageError(f"--m values must be <= {MAX_M} (got {max(m_values)})")
-
-    n = args.n
-    monomial = Polynomial.monomial(1, n)
-    power_sum_closed_form(n)  # build outside the timed region
-    rows = []
-    for m in m_values:
-        closed_ns, closed_value = _time_best_ns(lambda: power_sum_value(n, m), args.reps)
-        brute_ns, brute_value = _time_best_ns(lambda: brute_force_sum(monomial, m), args.reps)
-        if closed_value != brute_value:
-            print(
-                f"error: method mismatch at n={n}, m={m}: "
-                f"closed_form={closed_value}, brute_force={brute_value}",
-                file=sys.stderr,
-            )
-            return 1
-        rows.append(
-            {
-                "m": m,
-                "closed_ns": closed_ns,
-                "brute_ns": brute_ns,
-                "value": str(closed_value),
-            }
-        )
-
-    if args.csv:
-        try:
-            out = sys.stdout if args.csv == "-" else open(args.csv, "w", newline="")
-        except OSError as e:
-            raise _UsageError(f"cannot write --csv {args.csv}: {e.strerror}") from e
-        try:
-            writer = csv.writer(out)
-            writer.writerow(["n", "m", "method", "nanos", "value"])
-            for row in rows:
-                writer.writerow([n, row["m"], "closed_form", row["closed_ns"], row["value"]])
-                writer.writerow([n, row["m"], "brute_force", row["brute_ns"], row["value"]])
-        finally:
-            if out is not sys.stdout:
-                out.close()
-
-    payload = {
-        "mode": "bench",
-        "n": n,
-        "reps": args.reps,
-        "rows": [
-            {"m": r["m"], "method": method, "nanos": r[ns_key], "value": r["value"]}
-            for r in rows
-            for method, ns_key in (("closed_form", "closed_ns"), ("brute_force", "brute_ns"))
-        ],
-        "ok": True,
-    }
-    header = f"{'m':>12} {'closed_form_ns':>16} {'brute_force_ns':>16}  equal"
-    lines = [header]
-    for r in rows:
-        lines.append(f"{r['m']:>12} {r['closed_ns']:>16} {r['brute_ns']:>16}  yes")
-    _emit(args, payload, "\n".join(lines))
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -364,15 +280,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-m", type=int, default=100, help="largest m for the oracle suite")
     p_verify.set_defaults(func=_cmd_verify)
 
-    p_bench = sub.add_parser(
-        "bench", parents=[common],
-        help="time closed-form evaluation against literal summation",
-    )
-    p_bench.add_argument("--n", type=int, required=True, help="the exponent (n >= 1)")
-    p_bench.add_argument("--m", required=True, help="comma-separated m values, e.g. 100,10000")
-    p_bench.add_argument("--reps", type=int, default=3, help="repetitions per timing (best-of)")
-    p_bench.add_argument("--csv", help="also write CSV rows to this path ('-' for stdout)")
-    p_bench.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -1,5 +1,5 @@
 """Independent oracles that check the production routes; nothing in the
-library calls them except the CLI's verify and bench commands.
+library calls them except the CLI's verify command.
 
 Each one reaches its answer by a different road from the code it checks:
 

@@ -45,16 +45,14 @@ class ClosedFormSum:
     poly: Polynomial
     source_degree: int
 
-    def value_at(self, m: int, *, extend: bool = False) -> Fraction:
+    def value_at(self, m: int) -> Fraction:
         """Exact value of the sum for m >= 1; m = 0 gives the empty sum 0.
 
-        Negative m has no summation meaning; pass extend=True to evaluate
-        the polynomial there anyway.
+        Negative m has no summation meaning; self.poly(m) evaluates the
+        polynomial there anyway.
         """
-        if m < 0 and not extend:
-            raise ValueError(
-                f"m must be >= 0 (got {m}); use extend=True for polynomial extension"
-            )
+        if m < 0:
+            raise ValueError(f"m must be >= 0 (got {m}); poly(m) is the polynomial extension")
         return self.poly(m)
 
 

@@ -8,7 +8,7 @@ import sys
 import pytest
 
 import polysum.cli as cli_module
-from polysum.cli import MAX_M, main
+from polysum.cli import MAX_M, MAX_SUM_BITS, main
 
 EXACT_DECIMAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -81,7 +81,6 @@ def test_closed_form_factored_needs_three(capsys):
     [
         ["closed-form", "--n", "1001"],
         ["closed-form", "--n", "1001", "--factored"],
-        ["bench", "--n", "1001", "--m", "5"],
         ["verify", "--suite", "divisibility", "--max-n", "1001"],
     ],
 )
@@ -243,6 +242,26 @@ def test_sum_rejects_reversed_bounds(capsys):
     assert "exceeds" in err
 
 
+def test_sum_past_the_size_bound_is_usage_error(capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started before the bound was checked")
+
+    monkeypatch.setattr(cli_module, "sum_range", no_work)
+    hi = "9" * 4000  # 13,288 bits, times degree + 1 = 1001
+    code, out, err = run_cli(capsys, "--json", "sum", "--expr", "x^1000", "--lo", "1", "--hi", hi)
+    assert code == 2
+    assert err.startswith("error: --lo/--hi too large") and f"<= {MAX_SUM_BITS}" in err
+    assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n")}
+
+
+def test_sum_that_cancels_gets_its_answer(capsys):
+    # a 1,100-digit bound is inside the size bound; the value itself is 0
+    hi = 10**1100 + 7
+    code, out, _ = run_cli(capsys, "sum", "--expr", "x^3", "--lo", str(-hi), "--hi", str(hi))
+    assert code == 0
+    assert out == "0\n"
+
+
 def test_verify_all_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "6", "--max-m", "20")
     assert code == 0
@@ -272,61 +291,8 @@ def test_verify_rejects_bad_bounds(capsys):
     assert "--max-n" in err
 
 
-def test_bench_minimal(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--n", "1", "--m", "1", "--reps", "1")
-    assert code == 0
-    assert "equal" in out
-    assert "yes" in out
-
-
-def test_bench_values_agree_and_csv_format(capsys, tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    code, out, _ = run_cli(
-        capsys, "bench", "--n", "5", "--m", "10,200", "--reps", "2", "--csv", str(csv_path)
-    )
-    assert code == 0
-    lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "n,m,method,nanos,value"
-    assert len(lines) == 5  # header + 2 methods x 2 m values
-    for line in lines[1:]:
-        n, m, method, nanos, value = line.split(",")
-        assert n == "5"
-        assert method in ("closed_form", "brute_force")
-        assert nanos.isdigit()
-        assert EXACT_DECIMAL.match(value)
-    # both methods report the same value per m
-    by_m: dict[str, set[str]] = {}
-    for line in lines[1:]:
-        _, m, _, _, value = line.split(",")
-        by_m.setdefault(m, set()).add(value)
-    assert all(len(vals) == 1 for vals in by_m.values())
-
-
-def test_bench_json_rows(capsys):
-    code, out, _ = run_cli(capsys, "bench", "--n", "2", "--m", "10", "--reps", "1", "--json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["mode"] == "bench"
-    assert payload["ok"] is True
-    values = {row["value"] for row in payload["rows"]}
-    assert values == {"385"}  # 1 + 4 + ... + 100
-    for row in payload["rows"]:
-        assert isinstance(row["nanos"], int)
-
-
-def test_bench_rejects_bad_m_list(capsys):
-    code, _, err = run_cli(capsys, "bench", "--n", "2", "--m", "10,zap")
-    assert code == 2
-    assert "--m" in err
-    code, _, _ = run_cli(capsys, "bench", "--n", "2", "--m", "0")
-    assert code == 2
-
-
 def test_brute_force_m_at_the_bound_runs(capsys):
     assert MAX_M == 10**5
-    code, out, _ = run_cli(capsys, "--json", "bench", "--n", "1", "--m", str(MAX_M), "--reps", "1")
-    assert code == 0
-    assert {row["value"] for row in json.loads(out)["rows"]} == {str(MAX_M * (MAX_M + 1) // 2)}
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "oracle", "--max-n", "1", "--max-m", str(MAX_M)
     )
@@ -337,40 +303,32 @@ def test_brute_force_m_at_the_bound_runs(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["bench", "--n", "1", "--m", str(MAX_M + 1)],
-        ["bench", "--n", "1", "--m", f"5,{10**12}"],
         ["verify", "--suite", "oracle", "--max-n", "1", "--max-m", str(MAX_M + 1)],
         ["verify", "--suite", "identities", "--max-n", "1", "--max-m", str(MAX_M + 1)],
+        # the oracle suite's work, --max-m * --max-n, has the same bound
+        ["verify", "--suite", "oracle", "--max-n", "101", "--max-m", "1000"],
+        ["verify", "--suite", "all", "--max-n", "101", "--max-m", "1000"],
     ],
 )
 def test_brute_force_m_past_the_bound_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    for name in ("brute_force_sum", "power_sum_value", "power_sum_closed_form"):
+    for name in ("alternating_binomial_power_sum", "power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     code, out, err = run_cli(capsys, "--json", *argv)
     assert code == 2
-    assert err.startswith(("error: --m values", "error: --max-m")) and f"<= {MAX_M}" in err
+    assert err.startswith("error: --max-m") and f"<= {MAX_M}" in err
     assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n")}
 
 
-def test_bench_unwritable_csv_is_usage_error(capsys, tmp_path):
-    path = tmp_path / "missing" / "x.csv"
-    code, _, err = run_cli(capsys, "bench", "--n", "2", "--m", "5", "--csv", str(path))
+@pytest.mark.parametrize(
+    "argv", [["frobnicate"], ["bench", "--n", "2", "--m", "10"]], ids=lambda argv: argv[0]
+)
+def test_usage_error_on_unknown_subcommand(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err.startswith("error:")
-    assert err.count("\n") == 1
-    assert not path.exists()
-
-
-def test_bench_rejects_bad_reps(capsys):
-    code, _, _ = run_cli(capsys, "bench", "--n", "2", "--m", "10", "--reps", "0")
-    assert code == 2
-
-
-def test_usage_error_on_unknown_subcommand(capsys):
-    assert main(["frobnicate"]) == 2
+    assert "invalid choice" in err
 
 
 def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
@@ -399,16 +357,6 @@ def test_verify_failure_json_reports_counterexample(capsys, monkeypatch):
     (suite,) = payload["suites"]
     assert suite["passed"] == 0 and suite["total"] == 4
     assert suite["failures"][0]["n"] == 1
-
-
-def test_bench_mismatch_aborts_with_counterexample(capsys, monkeypatch):
-    import polysum.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "brute_force_sum", lambda f, m: -1)
-    code, _, err = run_cli(capsys, "bench", "--n", "2", "--m", "5", "--reps", "1")
-    assert code == 1
-    assert "mismatch" in err
-    assert "m=5" in err
 
 
 def test_non_bench_output_is_deterministic(capsys):

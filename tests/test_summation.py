@@ -87,8 +87,8 @@ def test_value_at_zero_and_negative():
     assert g.value_at(0) == 0
     with pytest.raises(ValueError):
         g.value_at(-1)
-    # polynomial extension must be requested explicitly
-    assert g.value_at(-1, extend=True) == 0  # m(m+1)/2 at m=-1
+    # the polynomial itself carries the extension
+    assert g.poly(-1) == 0  # m(m+1)/2 at m=-1
 
 
 def test_sum_range_examples():
