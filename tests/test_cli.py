@@ -82,6 +82,7 @@ def test_closed_form_factored_needs_three(capsys):
         ["closed-form", "--n", "1001"],
         ["closed-form", "--n", "1001", "--factored"],
         ["verify", "--suite", "divisibility", "--max-n", "1001"],
+        ["verify", "--suite", "identities", "--max-n", "1001"],
     ],
 )
 def test_n_past_the_degree_bound_is_usage_error(capsys, argv):
