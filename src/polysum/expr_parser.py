@@ -15,14 +15,15 @@ most MAX_DEGREE.  So must the degree bound of every subexpression, taken
 before anything is lowered: 0 for a literal, 1 for the variable, the max of
 the operands for '+' and '-', their sum for '*' and e times the base for
 '^e'.  Each '(' and each unary '-' opens one level of nesting, and at
-most MAX_NESTING levels may be open at once.  Subtraction a - b parses as
-Add(a, Neg(b)).  Implicit multiplication is accepted between a literal and
-a variable or parenthesis ("3x", "2(x+1)").  Whitespace is insignificant.
+most MAX_NESTING levels may be open at once.  A chain of terms parses as
+one n-ary Add (a - b - c as Add((a, Neg(b), Neg(c)))) and a chain of
+factors as one Mul.  Implicit multiplication is accepted between a literal
+and a variable or parenthesis ("3x", "2(x+1)").  Whitespace is insignificant.
 Exactly one variable may appear; the first identifier fixes its name.
 
 Syntax errors raise ParseError carrying the byte offset into the UTF-8
-encoding of the source.  lower walks the tree with an explicit stack, so a
-long '+' or '*' chain or a run of unary minuses costs no call stack.
+encoding of the source.  Parsed trees are shallow (see MAX_NESTING), so
+lower and oracles.evaluate recurse once per level.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ __all__ = [
 MAX_DEGREE = 1000
 
 # Most '(' and unary '-' the parser lets stand open at once.  A '(' costs the
-# recursive descent at most five stack frames, so this stays well inside
-# Python's default recursion limit of 1000.
+# recursive descent at most five stack frames, and a root-to-leaf path in the
+# tree five levels (Pow, Add, the Neg of a '-', Mul, implicit Mul); a unary '-'
+# costs one Neg.  With six more at the innermost level, a parsed tree is at
+# most 506 levels deep: inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 
@@ -91,14 +94,12 @@ class Neg:
 
 @dataclass(frozen=True)
 class Add:
-    left: "PolyExpr"
-    right: "PolyExpr"
+    terms: tuple["PolyExpr", ...]  # two or more
 
 
 @dataclass(frozen=True)
 class Mul:
-    left: "PolyExpr"
-    right: "PolyExpr"
+    factors: tuple["PolyExpr", ...]  # two or more
 
 
 @dataclass(frozen=True)
@@ -208,21 +209,23 @@ class _Parser:
 
     def _expr(self) -> tuple[PolyExpr, int]:
         node, degree = self._term()
+        terms = [node]
         while self._token.kind in ("+", "-"):
             op = self._advance().kind
             rhs, rhs_degree = self._term()
-            node = Add(node, rhs if op == "+" else Neg(rhs))
+            terms.append(rhs if op == "+" else Neg(rhs))
             degree = max(degree, rhs_degree)
-        return node, degree
+        return (Add(tuple(terms)) if len(terms) > 1 else node), degree
 
     def _term(self) -> tuple[PolyExpr, int]:
         node, degree = self._factor()
+        factors = [node]
         while self._token.kind == "*":
             tok = self._advance()
             rhs, rhs_degree = self._factor()
-            node = Mul(node, rhs)
+            factors.append(rhs)
             degree = _bounded(degree + rhs_degree, tok)
-        return node, degree
+        return (Mul(tuple(factors)) if len(factors) > 1 else node), degree
 
     def _factor(self) -> tuple[PolyExpr, int]:
         negations = 0
@@ -244,7 +247,7 @@ class _Parser:
             # or parenthesis, as in "3x" or "2(x+1)"; a literal adds no degree
             if self._token.kind in ("ident", "("):
                 rhs, degree = self._atom()
-                return Mul(node, rhs), degree
+                return Mul((node, rhs)), degree
             return self._power_suffix(node, 0)
         if tok.kind == "ident":
             self._advance()
@@ -282,10 +285,9 @@ class _Parser:
         return Pow(base, exponent), _bounded(degree * exponent, tok)
 
     def _exponent_chain(self) -> int:
-        """One or more '^'-separated integer literals, folded right to left
-        (x^2^3 = x^(2^3)).  A literal or fold past MAX_DEGREE is an error at
-        its token, so no fold exceeds MAX_DEGREE ** MAX_DEGREE.  The chain is
-        read in a loop, so its length costs no stack."""
+        """One or more '^'-separated integer literals, read in a loop and folded
+        right to left (x^2^3 = x^(2^3)).  A literal or fold past MAX_DEGREE is
+        an error at its token, so no fold exceeds MAX_DEGREE ** MAX_DEGREE."""
         chain: list[tuple[int, _Token]] = []
         while True:
             tok = self._token
@@ -350,38 +352,26 @@ def parse(src: str) -> PolyExpr:
 
 
 def lower(e: PolyExpr) -> Polynomial:
-    """Evaluate an expression tree bottom-up into a Polynomial.
-
-    The walk keeps its own stack: a node is pushed once to lower its
-    operands and again, wrapped in a 1-tuple, to combine their values.
-    """
-    todo: list = [e]
-    values: list[Polynomial] = []
-    while todo:
-        node = todo.pop()
-        if isinstance(node, tuple):
-            node = node[0]
-            if isinstance(node, Neg):
-                values.append(-values.pop())
-            elif isinstance(node, Pow):
-                values.append(values.pop() ** node.exponent)
-            else:
-                right = values.pop()
-                left = values.pop()
-                values.append(left + right if isinstance(node, Add) else left * right)
-        elif isinstance(node, Lit):
-            values.append(Polynomial.constant(node.value))
-        elif isinstance(node, Var):
-            values.append(Polynomial((0, 1)))
-        elif isinstance(node, Neg):
-            todo += ((node,), node.operand)
-        elif isinstance(node, Pow):
-            todo += ((node,), node.base)
-        elif isinstance(node, (Add, Mul)):
-            todo += ((node,), node.right, node.left)
-        else:
-            raise TypeError(f"not a PolyExpr node: {node!r}")
-    return values.pop()
+    """Evaluate an expression tree into a Polynomial, one call per tree level."""
+    if isinstance(e, Lit):
+        return Polynomial.constant(e.value)
+    if isinstance(e, Var):
+        return Polynomial((0, 1))
+    if isinstance(e, Neg):
+        return -lower(e.operand)
+    if isinstance(e, Pow):
+        return lower(e.base) ** e.exponent
+    if isinstance(e, Add):
+        total = lower(e.terms[0])
+        for term in e.terms[1:]:
+            total = total + lower(term)
+        return total
+    if isinstance(e, Mul):
+        product = lower(e.factors[0])
+        for factor in e.factors[1:]:
+            product = product * lower(factor)
+        return product
+    raise TypeError(f"not a PolyExpr node: {e!r}")
 
 
 def parse_polynomial(src: str) -> Polynomial:

@@ -188,9 +188,15 @@ def evaluate(e: PolyExpr, t: Fraction | int) -> Fraction:
     if isinstance(e, Neg):
         return -evaluate(e.operand, t)
     if isinstance(e, Add):
-        return evaluate(e.left, t) + evaluate(e.right, t)
+        total = Fraction(0)
+        for term in e.terms:
+            total += evaluate(term, t)
+        return total
     if isinstance(e, Mul):
-        return evaluate(e.left, t) * evaluate(e.right, t)
+        product = Fraction(1)
+        for factor in e.factors:
+            product *= evaluate(factor, t)
+        return product
     if isinstance(e, Pow):
         return evaluate(e.base, t) ** e.exponent
     raise TypeError(f"not a PolyExpr node: {e!r}")

@@ -4,11 +4,14 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import polysum.cli as cli_module
-from polysum.cli import MAX_M, MAX_SUM_BITS, main
+from polysum.cli import MAX_M, MAX_SUM_BITS, MAX_VERIFY_N, main
+from polysum.poly import Polynomial
+from polysum.powersum import power_sum_closed_form
 
 EXACT_DECIMAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -89,7 +92,9 @@ def test_n_past_the_degree_bound_is_usage_error(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("error:") and "<= 1000" in err
+    # verify --max-n has its own, smaller bound
+    bound = MAX_VERIFY_N if argv[0] == "verify" else 1000
+    assert err.startswith("error:") and f"<= {bound}" in err
 
 
 @pytest.mark.parametrize("expr", ["x^2^2^2^2", "x^9^9^9"])
@@ -321,6 +326,45 @@ def test_brute_force_m_past_the_bound_is_usage_error(capsys, monkeypatch, argv):
     assert code == 2
     assert err.startswith("error: --max-m") and f"<= {MAX_M}" in err
     assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n")}
+
+
+@pytest.mark.parametrize("suite", ["identities", "oracle", "divisibility", "all"])
+def test_verify_n_past_the_bound_is_usage_error(capsys, monkeypatch, suite):
+    def no_work(*args):
+        raise AssertionError("work started before the bound was checked")
+
+    for name in ("alternating_binomial_power_sum", "power_sum_value", "power_sum_closed_form"):
+        monkeypatch.setattr(cli_module, name, no_work)
+    argv = ["verify", "--suite", suite, "--max-n", str(MAX_VERIFY_N + 1), "--max-m", "1"]
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert code == 2
+    assert err == f"error: --max-n must be <= {MAX_VERIFY_N} (got {MAX_VERIFY_N + 1})\n"
+    assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n")}
+
+
+def test_verify_n_at_the_bound_runs(capsys):
+    assert MAX_VERIFY_N == 300
+    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "300")
+    assert code == 0
+    assert out.startswith("identities: 300/300 passed")
+
+
+def test_divisibility_failure_reports_the_remainder(capsys, monkeypatch):
+    # S_n plus a polynomial that m(m+1) does not divide, with a nonzero constant term
+    extra = Polynomial((Fraction(1, 3), -2, Fraction(5, 7), 4))
+    monkeypatch.setattr(
+        cli_module, "power_sum_closed_form", lambda n: power_sum_closed_form(n) + extra
+    )
+    code, out, _ = run_cli(capsys, "verify", "--suite", "divisibility", "--max-n", "3", "--json")
+    assert code == 1
+    (suite,) = json.loads(out)["suites"]
+    assert suite["passed"] == 0 and suite["total"] == 6
+    _, remainder = (power_sum_closed_form(1) + extra).divide_exact(Polynomial((0, 1, 1)))
+    assert remainder
+    assert suite["failures"][0] == {
+        "check": "divisible-by-m(m+1)", "n": 1, "expected": "0", "got": remainder.render()
+    }
+    assert suite["failures"][1]["got"] == "1/3"
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,7 @@ def test_parse_simple_power():
 
 def test_parse_respects_precedence():
     tree = parse("2+3*x")
-    assert tree == Add(Lit(Fraction(2)), Mul(Lit(Fraction(3)), Var("x")))
+    assert tree == Add((Lit(Fraction(2)), Mul((Lit(Fraction(3)), Var("x")))))
     assert parse_polynomial("2+3*x") == Polynomial((2, 3))
 
 
@@ -87,7 +87,7 @@ def test_literal_power():
 
 
 def test_subtraction_chains_left():
-    assert parse("x - 1 - 2") == Add(Add(Var("x"), Neg(Lit(Fraction(1)))), Neg(Lit(Fraction(2))))
+    assert parse("x - 1 - 2") == Add((Var("x"), Neg(Lit(Fraction(1))), Neg(Lit(Fraction(2)))))
     assert parse_polynomial("x - 1 - 2") == Polynomial((-3, 1))
 
 
@@ -194,20 +194,64 @@ def test_nesting_is_bounded(src, offset):
     assert f"maximum of {MAX_NESTING}" in str(excinfo.value)
 
 
+def tree_depth(tree) -> int:
+    """Levels on the longest root-to-leaf path, counted level by level."""
+    depth, level = 0, [tree]
+    while level:
+        depth += 1
+        below = []
+        for node in level:
+            if isinstance(node, Neg):
+                below.append(node.operand)
+            elif isinstance(node, Pow):
+                below.append(node.base)
+            elif isinstance(node, Add):
+                below += node.terms
+            elif isinstance(node, Mul):
+                below += node.factors
+        level = below
+    return depth
+
+
+def assert_lower_agrees_with_evaluate(tree, expected):
+    lowered = lower(tree)
+    assert lowered == expected
+    for t in (Fraction(-7, 3), 2):
+        assert evaluate(tree, t) == lowered(t)
+
+
 def test_nesting_at_the_bound_is_accepted():
-    assert parse_polynomial("(" * 100 + "x" + ")" * 100) == X
-    assert parse_polynomial("-" * 100 + "x") == X
-    assert parse_polynomial("2(" * 100 + "x" + ")" * 100) == X.scale(2**100)
-    # levels close again: a hundred at a time, many times over
-    assert parse_polynomial(" + ".join(["(" * 100 + "x" + ")" * 100] * 50)) == X.scale(50)
+    for src, expected in [
+        ("(" * 100 + "x" + ")" * 100, X),
+        ("-" * 100 + "x", X),
+        ("2(" * 100 + "x" + ")" * 100, X.scale(2**100)),
+        # levels close again: a hundred at a time, many times over
+        (" + ".join(["(" * 100 + "x" + ")" * 100] * 50), X.scale(50)),
+    ]:
+        assert_lower_agrees_with_evaluate(parse(src), expected)
+    # each '(' adds Pow, Add, Mul and an implicit Mul: 4 * MAX_NESTING + 1 levels
+    tree = parse("(1+x*2" * 100 + "x" + ")^1" * 100)
+    assert tree_depth(tree) == 4 * MAX_NESTING + 1
+    assert_lower_agrees_with_evaluate(tree, parse_polynomial("(1+x*2" * 100 + "x" + ")" * 100))
+    # the deepest shape: a subtraction adds a Neg per '(', and the innermost
+    # level ends in Add, Neg, Mul, implicit Mul, Pow and the variable
+    src = "1-x*2(" * 100 + "1-x*2x^2" + ")^1" * 100
+    tree = parse(src)
+    assert tree_depth(tree) == 5 * MAX_NESTING + 6
+    assert_lower_agrees_with_evaluate(tree, parse_polynomial(src.replace("^1", "")))
 
 
 def test_long_chains_lower_without_recursion():
-    assert parse_polynomial("+".join(["x"] * 20000)) == X.scale(20000)
-    assert parse_polynomial("-".join(["x"] * 20001)) == X.scale(-19999)
-    assert parse_polynomial("*".join(["1"] * 20000) + "*x") == X
-    assert parse_polynomial("x" + "^1" * 5000) == X
     assert parse("x^2" + "^1" * 5000) == Pow(Var("x"), 2)
+    for src, expected in [
+        ("+".join(["x"] * 20000), X.scale(20000)),
+        ("-".join(["x"] * 20001), X.scale(-19999)),
+        ("*".join(["1"] * 20000) + "*x", X),
+        ("x" + "^1" * 5000, X),
+    ]:
+        tree = parse(src)
+        assert tree_depth(tree) <= 3  # Add or Mul, Neg, leaf
+        assert_lower_agrees_with_evaluate(tree, expected)
 
 
 @pytest.mark.parametrize(
