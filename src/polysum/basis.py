@@ -28,9 +28,9 @@ one shift of the weights (see summation).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .poly import Polynomial
 

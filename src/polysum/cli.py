@@ -5,20 +5,19 @@ floating point.  With --json, each command emits a single JSON object whose
 exact-arithmetic values are decimal strings; a usage error also prints
 {"error": message} on stdout, with the byte "offset" when --expr failed to
 parse.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error.
+error.  A one-shot process imports json only to write JSON, and the
+check-only oracles only for verify's identities suite.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Callable
 from math import factorial
-from typing import Callable
 
 from .expr_parser import MAX_DEGREE, ParseError, parse_polynomial
-from .oracles import alternating_binomial_power_sum
 from .poly import Polynomial
 from .powersum import power_sum_closed_form, power_sum_factored_form, power_sum_value
 from .summation import sum_polynomial, sum_range
@@ -52,6 +51,7 @@ def _exact_text(render: Callable[[], str]) -> str:
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
     if getattr(args, "json", False):
+        import json
         print(json.dumps(payload))
     else:
         print(text)
@@ -156,10 +156,11 @@ def _failure(check: str, n: int, expected, got, **where) -> dict:
 
 
 def _suite_identities(max_n: int) -> tuple[int, int, list[dict]]:
+    from . import oracles  # check-only code, loaded when this suite runs
     failures = []
     for n in range(1, max_n + 1):
         expected = factorial(n) * (-1 if n % 2 else 1)
-        got = alternating_binomial_power_sum(n)
+        got = oracles.alternating_binomial_power_sum(n)
         if got != expected:
             failures.append(_failure("alternating-identity", n, expected, got))
     return max_n - len(failures), max_n, failures
@@ -309,6 +310,7 @@ def _run(args: argparse.Namespace) -> int:
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         if getattr(args, "json", False):
+            import json
             error = {"error": str(e)}
             if isinstance(e.__cause__, ParseError):
                 error["offset"] = e.__cause__.offset

@@ -29,11 +29,10 @@ lower and oracles.evaluate recurse once per level.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Union
 
-from .poly import Polynomial
+from .poly import Polynomial, Record
 
 __all__ = [
     "MAX_DEGREE",
@@ -77,38 +76,31 @@ class ParseError(ValueError):
 # AST
 
 
-@dataclass(frozen=True)
-class Lit:
-    value: Fraction
+class Lit(Record):
+    __slots__ = ("value",)  # a Fraction
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(Record):
+    __slots__ = ("name",)
 
 
-@dataclass(frozen=True)
-class Neg:
-    operand: "PolyExpr"
+class Neg(Record):
+    __slots__ = ("operand",)
 
 
-@dataclass(frozen=True)
-class Add:
-    terms: tuple["PolyExpr", ...]  # two or more
+class Add(Record):
+    __slots__ = ("terms",)  # a tuple of two or more PolyExpr
 
 
-@dataclass(frozen=True)
-class Mul:
-    factors: tuple["PolyExpr", ...]  # two or more
+class Mul(Record):
+    __slots__ = ("factors",)  # a tuple of two or more PolyExpr
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: "PolyExpr"
-    exponent: int  # literal and nonnegative by construction
+class Pow(Record):
+    __slots__ = ("base", "exponent")  # exponent: an int, literal and >= 0
 
 
-PolyExpr = Union[Lit, Var, Neg, Add, Mul, Pow]
+PolyExpr = Lit | Var | Neg | Add | Mul | Pow
 
 
 # ---------------------------------------------------------------------------
@@ -120,11 +112,9 @@ _PUNCT = {"+", "-", "*", "^", "(", ")"}
 _DIGITS = frozenset("0123456789")
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int", "rational", "ident", one of _PUNCT, or "eof"
-    text: str
-    offset: int  # byte offset into the UTF-8 source
+# kind: "int", "rational", "ident", one of _PUNCT, or "eof";
+# offset: the byte offset into the UTF-8 source
+_Token = namedtuple("_Token", ("kind", "text", "offset"))
 
 
 def tokenize(src: str) -> list[_Token]:

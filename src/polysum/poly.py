@@ -24,20 +24,59 @@ product's coefficients are slices of one to_bytes call, less the bias.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
 
 __all__ = ["Polynomial"]
 
-Scalar = Union[Fraction, int]
+Scalar = Fraction | int
 
 
-class Polynomial:
+class Record:
+    """Base of polysum's immutable values: the fields a subclass names in
+    __slots__, set by position or keyword, equality by class and fields, and
+    a frozen dataclass's repr, e.g. Pow(base=Var(name='x'), exponent=2)."""
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        names = self.__slots__
+        if named:
+            values += tuple([named.pop(name) for name in names[len(values):] if name in named])
+        if named or len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # for pickle and copy, which would set the slots
+        return type(self), self._values()
+
+
+class Polynomial(Record):
     """Immutable dense polynomial: int numerators over one common denominator."""
 
     __slots__ = ("numerators", "denominator")
-
     numerators: tuple[int, ...]
     denominator: int
 
@@ -45,9 +84,6 @@ class Polynomial:
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
         den = lcm(*[c.denominator for c in cs])
         _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @classmethod
     def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> Polynomial:
@@ -91,16 +127,11 @@ class Polynomial:
     def __bool__(self) -> bool:
         return bool(self.numerators)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.numerators == other.numerators and self.denominator == other.denominator
-
-    def __hash__(self) -> int:
-        return hash((self.numerators, self.denominator))
-
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"
+
+    def __reduce__(self):
+        return Polynomial.from_numerators, (self.numerators, self.denominator)
 
     def __str__(self) -> str:
         return self.render()

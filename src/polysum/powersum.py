@@ -23,11 +23,10 @@ The paper's literal sum and the Bernoulli-number formula are in oracles.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .basis import rising_weights
-from .poly import ONE, Polynomial, join_signed
+from .poly import ONE, Polynomial, Record, join_signed
 from .summation import telescope
 
 __all__ = [
@@ -40,16 +39,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PowerSumCoefficients:
+class PowerSumCoefficients(Record):
     """Weights a_1..a_n of the rising-factorial expansion of S_n.
 
     coeffs[i-1] = a_i multiplies m(m+1)...(m+i).  Always a_1 = -1/2 and
     a_n = (-1)^n/(n+1).
     """
 
-    n: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("n", "coeffs")
 
     def coefficient(self, i: int) -> Fraction:
         """a_i, 1-based, for 1 <= i <= n."""
@@ -94,16 +91,12 @@ def power_sum_closed_form(n: int) -> Polynomial:
     return closed
 
 
-@dataclass(frozen=True)
-class FactoredPowerSum:
+class FactoredPowerSum(Record):
     """S_n for n >= 3 in the factored shape
-    sign * m(m+1) * (inner_constant + sum a_i (m+2)...(m+i))."""
+    sign * m(m+1) * (inner_constant + sum a_i (m+2)...(m+i)), where
+    prefactor is m(m+1) and inner_coeffs holds the pairs (i, a_i), i = 2..n."""
 
-    n: int
-    sign: int
-    prefactor: Polynomial
-    inner_constant: Fraction
-    inner_coeffs: tuple[tuple[int, Fraction], ...]  # (i, a_i) for i = 2..n
+    __slots__ = ("n", "sign", "prefactor", "inner_constant", "inner_coeffs")
 
     def inner_polynomial(self) -> Polynomial:
         inner = Polynomial.constant(self.inner_constant)

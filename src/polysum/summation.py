@@ -19,12 +19,11 @@ the closed forms are tested against is oracles.brute_force_sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .basis import from_rising_basis, to_rising_basis
-from .poly import Polynomial
+from .poly import Polynomial, Record
 
 __all__ = [
     "ClosedFormSum",
@@ -34,16 +33,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ClosedFormSum:
+class ClosedFormSum(Record):
     """The polynomial g with g(m) = sum of the summand at x = 1..m.
 
     poly has zero constant term and degree source_degree + 1 for a nonzero
     summand; source_degree is 0 by convention when the summand is zero.
     """
 
-    poly: Polynomial
-    source_degree: int
+    __slots__ = ("poly", "source_degree")
 
     def value_at(self, m: int) -> Fraction:
         """Exact value of the sum for m >= 1; m = 0 gives the empty sum 0.

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 import polysum.cli as cli_module
+import polysum.oracles
 from polysum.cli import MAX_M, MAX_SUM_BITS, MAX_VERIFY_N, main
 from polysum.poly import Polynomial
 from polysum.powersum import power_sum_closed_form
@@ -320,7 +321,8 @@ def test_brute_force_m_past_the_bound_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    for name in ("alternating_binomial_power_sum", "power_sum_value", "power_sum_closed_form"):
+    monkeypatch.setattr(polysum.oracles, "alternating_binomial_power_sum", no_work)
+    for name in ("power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     code, out, err = run_cli(capsys, "--json", *argv)
     assert code == 2
@@ -333,7 +335,8 @@ def test_verify_n_past_the_bound_is_usage_error(capsys, monkeypatch, suite):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    for name in ("alternating_binomial_power_sum", "power_sum_value", "power_sum_closed_form"):
+    monkeypatch.setattr(polysum.oracles, "alternating_binomial_power_sum", no_work)
+    for name in ("power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     argv = ["verify", "--suite", suite, "--max-n", str(MAX_VERIFY_N + 1), "--max-m", "1"]
     code, out, err = run_cli(capsys, "--json", *argv)
@@ -377,11 +380,9 @@ def test_usage_error_on_unknown_subcommand(capsys, argv):
 
 
 def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
-    import polysum.cli as cli_module
-
-    real = cli_module.alternating_binomial_power_sum
+    real = polysum.oracles.alternating_binomial_power_sum
     monkeypatch.setattr(
-        cli_module, "alternating_binomial_power_sum", lambda n: 0 if n == 3 else real(n)
+        polysum.oracles, "alternating_binomial_power_sum", lambda n: 0 if n == 3 else real(n)
     )
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
     assert code == 1
@@ -392,9 +393,7 @@ def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
 
 
 def test_verify_failure_json_reports_counterexample(capsys, monkeypatch):
-    import polysum.cli as cli_module
-
-    monkeypatch.setattr(cli_module, "alternating_binomial_power_sum", lambda n: 0)
+    monkeypatch.setattr(polysum.oracles, "alternating_binomial_power_sum", lambda n: 0)
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "4", "--json")
     assert code == 1
     payload = json.loads(out)

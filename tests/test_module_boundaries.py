@@ -1,10 +1,16 @@
-"""The production modules never depend on the check-only oracles, and the
-package exports only the production surface."""
+"""The production modules never depend on the check-only oracles, the package
+exports only the production surface, and a one-shot CLI process imports only
+what its command runs."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import polysum
 
@@ -58,3 +64,41 @@ def test_only_cli_imports_oracles():
 def test_public_surface_is_the_production_names():
     assert set(polysum.__all__) == PRODUCTION_NAMES | {"__version__"}
     assert len(polysum.__all__) == len(PRODUCTION_NAMES) + 1
+
+
+def modules_after(*argv: str) -> set[str]:
+    """sys.modules of a fresh interpreter, without site, that imports polysum.cli
+    and, given arguments, runs cli.main on them to exit code 0."""
+    script = (
+        "import sys, polysum.cli\n"
+        "code = polysum.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(code, *sorted(sys.modules), file=sys.stderr)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    code, *modules = result.stderr.split()
+    assert code == "0", result.stderr
+    return set(modules)
+
+
+def test_importing_the_cli_loads_no_unused_module():
+    loaded = modules_after()
+    assert "polysum.cli" in loaded
+    for name in ("dataclasses", "inspect", "typing", "json", "polysum.oracles"):
+        assert name not in loaded
+
+
+@pytest.mark.parametrize(
+    "argv, module, loaded",
+    [
+        (["closed-form", "--n", "3"], "json", False),
+        (["--json", "closed-form", "--n", "3"], "json", True),
+        (["closed-form", "--n", "3"], "polysum.oracles", False),
+        (["verify", "--suite", "identities", "--max-n", "3"], "polysum.oracles", True),
+    ],
+)
+def test_a_command_loads_json_and_oracles_only_when_it_uses_them(argv, module, loaded):
+    assert (module in modules_after(*argv)) is loaded
