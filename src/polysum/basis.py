@@ -30,9 +30,8 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from math import lcm
 
-from .poly import Polynomial
+from .poly import Polynomial, over_common_denominator
 
 __all__ = [
     "rising_weights",
@@ -41,18 +40,12 @@ __all__ = [
 ]
 
 
-def _over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[int, list[int]]:
-    """D, the lcm of the denominators of xs, and the ints D*x."""
-    den = lcm(*[x.denominator for x in xs])
-    return den, [x.numerator * (den // x.denominator) for x in xs]
-
-
 def rising_weights(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
     """w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) values[k] for i = 0..len(values)-1."""
-    return _differences(*_over_common_denominator(values))
+    return _differences(*over_common_denominator(values))
 
 
-def _differences(scale: int, row: list[int]) -> tuple[Fraction, ...]:
+def _differences(row: list[int], scale: int) -> tuple[Fraction, ...]:
     """The weights of the values row[k] / scale.
 
     Their alternating sum is (-1)^i Delta^i v_0, so the ints are differenced
@@ -80,7 +73,7 @@ def to_rising_basis(f: Polynomial) -> tuple[Fraction, ...]:
         for c in reversed(nums):
             acc = acc * -k + c
         values.append(acc)
-    return _differences(f.denominator, values)
+    return _differences(values, f.denominator)
 
 
 def from_rising_basis(weights: Sequence[Fraction | int]) -> Polynomial:
@@ -94,7 +87,7 @@ def from_rising_basis(weights: Sequence[Fraction | int]) -> Polynomial:
     each product the first-kind Stirling recurrence new[j] = old[j-1] + i*old[j];
     that row over D is the result.
     """
-    den, scaled = _over_common_denominator(weights)
+    scaled, den = over_common_denominator(weights)
     acc: list[int] = []
     for i in range(len(scaled) - 1, -1, -1):
         acc = [a + i * b for a, b in zip([0, *acc], [*acc, 0])]

@@ -45,7 +45,6 @@ __all__ = [
     "Add",
     "Mul",
     "Pow",
-    "tokenize",
     "parse",
     "lower",
     "parse_polynomial",
@@ -117,49 +116,36 @@ _DIGITS = frozenset("0123456789")
 _Token = namedtuple("_Token", ("kind", "text", "offset"))
 
 
-def tokenize(src: str) -> list[_Token]:
+def _tokenize(src: str) -> list[_Token]:
     tokens: list[_Token] = []
     i = 0
     byte_pos = 0
     n = len(src)
     while i < n:
         ch = src[i]
-        if ch.isspace():
-            byte_pos += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        start_byte = byte_pos
+        j = i + 1
+        kind = ch  # punctuation is its own kind; whitespace makes no token
         if ch in _DIGITS:
-            j = i
             while j < n and src[j] in _DIGITS:
                 j += 1
             kind = "int"
             # "p/q" is one rational token; '/' exists only inside literals
-            if j < n and src[j] == "/" and j + 1 < n and src[j + 1] in _DIGITS:
-                j += 1
+            if j + 1 < n and src[j] == "/" and src[j + 1] in _DIGITS:
+                j += 2
                 while j < n and src[j] in _DIGITS:
                     j += 1
                 kind = "rational"
-            text = src[i:j]
-            tokens.append(_Token(kind, text, start_byte))
-            byte_pos += len(text.encode("utf-8"))
-            i = j
-            continue
-        if ch.isalpha():
-            j = i
+        elif ch.isalpha():
             while j < n and src[j].isalpha():
                 j += 1
-            text = src[i:j]
-            tokens.append(_Token("ident", text, start_byte))
-            byte_pos += len(text.encode("utf-8"))
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token(ch, ch, start_byte))
-            byte_pos += len(ch.encode("utf-8"))
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", start_byte)
+            kind = "ident"
+        elif ch not in _PUNCT and not ch.isspace():
+            raise ParseError(f"unexpected character {ch!r}", byte_pos)
+        text = src[i:j]
+        if not ch.isspace():
+            tokens.append(_Token(kind, text, byte_pos))
+        byte_pos += len(text.encode())  # UTF-8
+        i = j
     tokens.append(_Token("eof", "", byte_pos))
     return tokens
 
@@ -338,7 +324,7 @@ def _int(digits: str, offset: int) -> int:
 
 def parse(src: str) -> PolyExpr:
     """Parse source text into an expression tree."""
-    return _Parser(tokenize(src)).parse()
+    return _Parser(_tokenize(src)).parse()
 
 
 def lower(e: PolyExpr) -> Polynomial:

@@ -82,8 +82,7 @@ class Polynomial(Record):
 
     def __init__(self, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        den = lcm(*[c.denominator for c in cs])
-        _init(self, [c.numerator * (den // c.denominator) for c in cs], den)
+        _init(self, *over_common_denominator(cs))
 
     @classmethod
     def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> Polynomial:
@@ -246,6 +245,12 @@ class Polynomial(Record):
                 body = sym if mag == 1 else f"{mag}*{sym}"
             parts.append((c < 0, body))
         return join_signed(parts)
+
+
+def over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
+    """The ints D*x and D, the lcm of the denominators of xs."""
+    den = lcm(*[x.denominator for x in xs])
+    return [x.numerator * (den // x.denominator) for x in xs], den
 
 
 def _init(p: Polynomial, nums: list[int], den: int) -> None:

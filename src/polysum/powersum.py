@@ -98,17 +98,14 @@ class FactoredPowerSum(Record):
 
     __slots__ = ("n", "sign", "prefactor", "inner_constant", "inner_coeffs")
 
-    def inner_polynomial(self) -> Polynomial:
+    def expand(self) -> Polynomial:
+        """Multiply the factored shape out; equals power_sum_closed_form(n)."""
         inner = Polynomial.constant(self.inner_constant)
         product = ONE
         for i, c in self.inner_coeffs:
             product = product * Polynomial((i, 1))  # (m+2)...(m+i)
             inner = inner + product.scale(c)
-        return inner
-
-    def expand(self) -> Polynomial:
-        """Multiply the factored shape out; equals power_sum_closed_form(n)."""
-        return (self.prefactor * self.inner_polynomial()).scale(self.sign)
+        return (self.prefactor * inner).scale(self.sign)
 
     def render(self, var: str = "m") -> str:
         """Display form keeping the factored structure, e.g. for n=3:
@@ -149,8 +146,6 @@ def power_sum_value(n: int, m: int) -> int:
     values at integers; a non-integer result would mean the construction
     itself is broken, so it raises rather than rounding.
     """
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1 (got {n})")
     if m < 0:
         raise ValueError(f"m must be >= 0 (got {m})")
     value = power_sum_closed_form(n)(m)

@@ -126,7 +126,20 @@ def test_unexpected_character():
 
 @pytest.mark.parametrize(
     ("src", "offset"),
-    [("2²", 1), ("x^²", 2), ("x^٣", 2), ("٣x", 0), ("1/٣", 1)],
+    [
+        ("2²", 1),
+        ("x^²", 2),
+        ("x^٣", 2),
+        ("٣x", 0),
+        ("1/٣", 1),
+        ("x²", 1),  # a superscript digit ends a letter run
+        # '/' belongs to a literal only directly between two ASCII digits
+        ("1/x", 1),
+        ("1 /2", 2),
+        # whitespace counts its UTF-8 bytes: 2 for U+00A0, 3 for U+3000
+        ("x\u00a0%", 3),
+        ("\u30001/", 4),
+    ],
 )
 def test_only_ascii_digits_are_digits(src, offset):
     with pytest.raises(ParseError) as excinfo:
