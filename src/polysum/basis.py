@@ -2,28 +2,25 @@
 
 Any polynomial f of degree n has a unique expansion
 
-    f(x) = sum_{i=0..n} w_i * x(x+1)(x+2)...(x+i-1),
+    f(x) = sum_{i=0..n} w_i * x(x+1)(x+2)...(x+i-1)
+         = w_0 + x(w_1 + (x+1)(w_2 + ... + (x+n-1)w_n)),
 
-because the rising-factorial products are triangular in degree.  The
-length-0 product is 1, so w_0 = f(0).  A polynomial in this basis is the
-plain tuple (w_0, ..., w_n); the zero polynomial is ().  The weights come in
-closed form from the values v_k = f(-k):
+because the rising-factorial products are triangular in degree; they are the
+Newton basis on the nodes 0, -1, -2, ....  A polynomial in this basis is the
+plain tuple (w_0, ..., w_n), so w_0 = f(0); the zero polynomial is ().
 
-    w_i = 1/i! * sum_{k=0..i} (-1)^k * C(i,k) * v_k
+The two conversions are one algorithm run in two directions on the nested
+form, both int work over one common denominator.  from_rising_basis builds f
+from the inside out, multiplying by (x + i) and adding w_i (the recurrence
+of the unsigned Stirling numbers of the first kind).  to_rising_basis takes
+f apart from the outside in, by synthetic division by x, x+1, x+2, ..., and
+keeps each remainder as w_i.
 
-Equivalently w_i = (-1)^i Delta^i v_0 / i!, an i-th forward difference.
-rising_weights is the one kernel for it.  Fed the ints v_k = k^n (the values
-of (-x)^n), it gives the paper's power-sum weights
-sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i) (see powersum).
-
-from_rising_basis is the one kernel that assembles weights on these products
-into monomials; multiplying by (x + i) is the recurrence of the unsigned
-Stirling numbers of the first kind, the coefficients of x(x+1)...(x+i).  Both
-kernels are int work over one common denominator.  to_rising_basis reads
-f's int numerators and denominator directly, and the weights kernel makes
-one Fraction per weight; from_rising_basis hands its int row and denominator
-to Polynomial as they are, with no Fraction per coefficient.  Summation is
-one shift of the weights (see summation).
+The weights also have a closed form in the values v_k = f(-k),
+w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) v_k = (-1)^i Delta^i v_0 / i!, which
+only the power sums use: fed v_k = k^n (the values of (-x)^n), rising_weights
+gives the paper's weights sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i)
+(see powersum).  Summation is one shift of the weights (see summation).
 """
 
 from __future__ import annotations
@@ -41,16 +38,12 @@ __all__ = [
 
 
 def rising_weights(values: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
-    """w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) values[k] for i = 0..len(values)-1."""
-    return _differences(*over_common_denominator(values))
+    """w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) values[k] for i = 0..len(values)-1.
 
-
-def _differences(row: list[int], scale: int) -> tuple[Fraction, ...]:
-    """The weights of the values row[k] / scale.
-
-    Their alternating sum is (-1)^i Delta^i v_0, so the ints are differenced
-    and each weight is one Fraction, (-1)^i Delta^i row[0] / (i! * scale).
+    The values over their common denominator D are ints, so each weight is one
+    Fraction, (-1)^i Delta^i row[0] / (i! * D), of int forward differences.
     """
+    row, scale = over_common_denominator(values)
     weights = []
     for i in range(len(row)):
         weights.append(Fraction(-row[0] if i % 2 else row[0], scale))
@@ -60,20 +53,25 @@ def _differences(row: list[int], scale: int) -> tuple[Fraction, ...]:
 
 
 def to_rising_basis(f: Polynomial) -> tuple[Fraction, ...]:
-    """The weights (w_0, ..., w_n) of f via the closed form.
+    """The weights (w_0, ..., w_n) of f, n = deg(f) exactly, so the zero
+    polynomial maps to ().  f's int numerators are divided in place by x,
+    x+1, x+2, ...; the remainder of the division by (x + i) is row[i], so
+    w_i = row[i] / D, D being f's denominator.
 
-    n = deg(f) exactly, so no forced-zero trailing weights are stored; the
-    zero polynomial maps to ().  The values D*f(-k) come from integer Horner
-    on f's int numerators, D being its denominator.
+    >>> w = to_rising_basis(Polynomial((0, 0, 1)))  # x^2 = -x + x(x+1)
+    >>> w
+    (Fraction(0, 1), Fraction(-1, 1), Fraction(1, 1))
+    >>> from_rising_basis(w).render("x")
+    'x^2'
     """
-    nums = f.numerators
-    values = []
-    for k in range(len(nums)):
-        acc = 0
-        for c in reversed(nums):
-            acc = acc * -k + c
-        values.append(acc)
-    return _differences(values, f.denominator)
+    row = list(f.numerators)
+    n = len(row) - 1
+    weights = []
+    for i in range(n + 1):
+        for j in range(n - 1, i - 1, -1):  # divide row[i:] by (x + i)
+            row[j] -= i * row[j + 1]
+        weights.append(Fraction(row[i], f.denominator))
+    return tuple(weights)
 
 
 def from_rising_basis(weights: Sequence[Fraction | int]) -> Polynomial:
@@ -85,7 +83,7 @@ def from_rising_basis(weights: Sequence[Fraction | int]) -> Polynomial:
         acc <- acc * (x + i) + W_i    for i = n, ..., 0,
 
     each product the first-kind Stirling recurrence new[j] = old[j-1] + i*old[j];
-    that row over D is the result.
+    that row over D is the result.  to_rising_basis undoes it step by step.
     """
     scaled, den = over_common_denominator(weights)
     acc: list[int] = []

@@ -155,7 +155,7 @@ def _failure(check: str, n: int, expected, got, **where) -> dict:
     return {"check": check, "n": n, **where, "expected": str(expected), "got": str(got)}
 
 
-def _suite_identities(max_n: int) -> tuple[int, int, list[dict]]:
+def _suite_identities(max_n: int) -> tuple[int, list[dict]]:
     from . import oracles  # check-only code, loaded when this suite runs
     failures = []
     for n in range(1, max_n + 1):
@@ -163,12 +163,11 @@ def _suite_identities(max_n: int) -> tuple[int, int, list[dict]]:
         got = oracles.alternating_binomial_power_sum(n)
         if got != expected:
             failures.append(_failure("alternating-identity", n, expected, got))
-    return max_n - len(failures), max_n, failures
+    return max_n, failures
 
 
-def _suite_oracle(max_n: int, max_m: int) -> tuple[int, int, list[dict]]:
+def _suite_oracle(max_n: int, max_m: int) -> tuple[int, list[dict]]:
     failures = []
-    total = max_n * max_m
     for n in range(1, max_n + 1):
         literal = 0
         for m in range(1, max_m + 1):
@@ -176,10 +175,10 @@ def _suite_oracle(max_n: int, max_m: int) -> tuple[int, int, list[dict]]:
             got = power_sum_value(n, m)
             if got != literal:
                 failures.append(_failure("power-sum-oracle", n, literal, got, m=m))
-    return total - len(failures), total, failures
+    return max_n * max_m, failures
 
 
-def _suite_divisibility(max_n: int) -> tuple[int, int, list[dict]]:
+def _suite_divisibility(max_n: int) -> tuple[int, list[dict]]:
     failures = []
     for n in range(1, max_n + 1):
         closed = power_sum_closed_form(n)
@@ -190,7 +189,7 @@ def _suite_divisibility(max_n: int) -> tuple[int, int, list[dict]]:
             failures.append(_failure("divisible-by-m(m+1)", n, 0, remainder.render()))
         if at_zero != 0:
             failures.append(_failure("zero-constant-term", n, 0, at_zero))
-    return 2 * max_n - len(failures), 2 * max_n, failures
+    return 2 * max_n, failures
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -211,12 +210,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     results = []
     for name in selected:
         if name == "identities":
-            passed, total, failures = _suite_identities(args.max_n)
+            total, failures = _suite_identities(args.max_n)
         elif name == "oracle":
-            passed, total, failures = _suite_oracle(args.max_n, args.max_m)
+            total, failures = _suite_oracle(args.max_n, args.max_m)
         else:
-            passed, total, failures = _suite_divisibility(args.max_n)
+            total, failures = _suite_divisibility(args.max_n)
         # counts cover every check; the report keeps the smallest counterexamples
+        passed = total - len(failures)
         results.append({"name": name, "passed": passed, "total": total, "failures": failures[:3]})
     ok = all(r["passed"] == r["total"] for r in results)
     payload = {"mode": "verify", "suites": results, "ok": ok}

@@ -8,7 +8,7 @@ Each one reaches its answer by a different road from the code it checks:
   scratch, and sum_rising_factorial applies the telescoping identity to it
   (basis.from_rising_basis builds the products incrementally).
 - solve_interpolation_system solves the triangular system by forward
-  substitution (basis.to_rising_basis uses the closed form).
+  substitution (basis.to_rising_basis uses synthetic division).
 - coefficient_from_sum is the paper's literal sum for a_i, double_sum_closed_form
   assembles S_n from the binomial double sum, and faulhaber_bernoulli_oracle
   uses the classical Bernoulli-number formula (powersum).
@@ -79,7 +79,7 @@ def solve_interpolation_system(f: Polynomial) -> tuple[Fraction, ...]:
     Matching f and its expansion at the points 0, -1, ..., -n gives a
     lower-triangular system: the length-i product evaluated at -j is
     (-1)^i * j(j-1)...(j-i+1) for i <= j and 0 for i > j.  Solving row by
-    row yields the weights without using the closed form, which makes
+    row yields the weights without synthetic division, which makes
     this an independent cross-check for to_rising_basis.
     """
     weights = [f(0)] if f else []

@@ -37,7 +37,7 @@ def test_basis_products_are_fixed_points():
 
 def literal_weights(values):
     """The alternating binomial sum, term by term: the reference for the
-    forward-difference kernel."""
+    forward-difference kernel and for synthetic division."""
     return tuple(
         Fraction(sum((-1) ** k * binomial(i, k) * values[k] for k in range(i + 1)), factorial(i))
         for i in range(len(values))
@@ -61,14 +61,31 @@ def test_rising_weights_match_the_alternating_sum():
 
 def test_to_rising_basis_of_an_integer_polynomial():
     rng = random.Random(20261019)
+
+    def nonzero(num: int, den: int) -> Fraction:
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, num), rng.randint(1, den))
+
+    cases = []
     for degree in (1, 5, 20, 40):
         coeffs = [rng.randint(-(10**12), 10**12) for _ in range(degree)]
         coeffs.append(rng.choice([-1, 1]) * rng.randint(1, 10**12))  # nonzero leading term
-        f = Polynomial(coeffs)
+        cases.append(Polynomial(coeffs))
+    for degree in (1, 5, 20, 40):  # rational, denominators up to 10^12
+        cases.append(Polynomial([nonzero(10**12, 10**12) for _ in range(degree + 1)]))
+    # the benchmark's general_sum shapes at its top degree 60, and one product at 200
+    cases.append(Polynomial([nonzero(9, 9) for _ in range(61)]))
+    cases.append(Polynomial((rng.randint(1, 4), 1)) ** 60)
+    half = Polynomial((Fraction(1, 2), 1))
+    for degree in (60, 200):
+        a = rng.randint(1, degree - 1)
+        cases.append(Polynomial((-3, 2)) ** a * half ** (degree - a))
+    for f in cases:
         r = to_rising_basis(f)
-        assert r[0] == f(0)
-        assert r == literal_weights([f(-k) for k in range(degree + 1)])
-        assert r == solve_interpolation_system(f)
+        assert len(r) == f.degree + 1 and r[0] == f(0)
+        assert r == literal_weights([f(-k) for k in range(f.degree + 1)]), f.degree
+        assert from_rising_basis(r) == f
+        if f.degree <= 40:
+            assert r == solve_interpolation_system(f)
 
 
 def test_from_rising_basis_examples():
