@@ -5,8 +5,7 @@ floating point.  With --json, each command emits a single JSON object whose
 exact-arithmetic values are decimal strings; a usage error also prints
 {"error": message} on stdout, with the byte "offset" when --expr failed to
 parse.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error.  A one-shot process imports json only to write JSON, and the
-check-only oracles only for verify's identities suite.
+error.  A one-shot process imports json only to write JSON.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import sys
 from collections.abc import Callable
 from math import factorial
 
+from .basis import rising_weights
 from .expr_parser import MAX_DEGREE, ParseError, parse_polynomial
 from .poly import Polynomial
 from .powersum import power_sum_closed_form, power_sum_factored_form, power_sum_value
@@ -50,7 +50,7 @@ def _exact_text(render: Callable[[], str]) -> str:
 
 
 def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if getattr(args, "json", False):
+    if args.json:
         import json
         print(json.dumps(payload))
     else:
@@ -156,11 +156,11 @@ def _failure(check: str, n: int, expected, got, **where) -> dict:
 
 
 def _suite_identities(max_n: int) -> tuple[int, list[dict]]:
-    from . import oracles  # check-only code, loaded when this suite runs
     failures = []
     for n in range(1, max_n + 1):
         expected = factorial(n) * (-1 if n % 2 else 1)
-        got = oracles.alternating_binomial_power_sum(n)
+        # n! w_n of the values k^n is sum_k (-1)^k C(n,k) k^n, (n+1)! a_n in powersum
+        got = factorial(n) * rising_weights([k**n for k in range(n + 1)])[n]
         if got != expected:
             failures.append(_failure("alternating-identity", n, expected, got))
     return max_n, failures
@@ -192,6 +192,14 @@ def _suite_divisibility(max_n: int) -> tuple[int, list[dict]]:
     return 2 * max_n, failures
 
 
+# verify's suites by name, each returning (checks run, failures)
+_SUITES = {
+    "identities": lambda args: _suite_identities(args.max_n),
+    "oracle": lambda args: _suite_oracle(args.max_n, args.max_m),
+    "divisibility": lambda args: _suite_divisibility(args.max_n),
+}
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise _UsageError(f"--max-n must be >= 1 (got {args.max_n})")
@@ -206,15 +214,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"--max-m * --max-n must be <= {MAX_M} for the oracle suite (got {work})"
         )
-    selected = ["identities", "oracle", "divisibility"] if args.suite == "all" else [args.suite]
     results = []
-    for name in selected:
-        if name == "identities":
-            total, failures = _suite_identities(args.max_n)
-        elif name == "oracle":
-            total, failures = _suite_oracle(args.max_n, args.max_m)
-        else:
-            total, failures = _suite_divisibility(args.max_n)
+    for name in _SUITES if args.suite == "all" else [args.suite]:
+        total, failures = _SUITES[name](args)
         # counts cover every check; the report keeps the smallest counterexamples
         passed = total - len(failures)
         results.append({"name": name, "passed": passed, "total": total, "failures": failures[:3]})
@@ -276,10 +278,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common],
         help="run exactness and divisibility check suites",
     )
-    p_verify.add_argument(
-        "--suite", required=True,
-        choices=["identities", "oracle", "divisibility", "all"],
-    )
+    p_verify.add_argument("--suite", required=True, choices=[*_SUITES, "all"])
     p_verify.add_argument("--max-n", type=int, required=True, help="largest exponent checked")
     p_verify.add_argument("--max-m", type=int, default=100, help="largest m for the oracle suite")
     p_verify.set_defaults(func=_cmd_verify)
@@ -309,7 +308,7 @@ def _run(args: argparse.Namespace) -> int:
         return args.func(args)
     except _UsageError as e:
         print(f"error: {e}", file=sys.stderr)
-        if getattr(args, "json", False):
+        if args.json:
             import json
             error = {"error": str(e)}
             if isinstance(e.__cause__, ParseError):

@@ -1,5 +1,5 @@
-"""Independent oracles that check the production routes; nothing in the
-library calls them except the CLI's verify command.
+"""Independent oracles that check the production routes; only the tests
+call them, and no module of the library imports this one.
 
 Each one reaches its answer by a different road from the code it checks:
 
@@ -13,7 +13,7 @@ Each one reaches its answer by a different road from the code it checks:
   assembles S_n from the binomial double sum, and faulhaber_bernoulli_oracle
   uses the classical Bernoulli-number formula (powersum).
 - alternating_binomial_power_sum is the identity
-  sum_k (-1)^k C(n,k) k^n = (-1)^n n! behind the a_n closing value.
+  sum_k (-1)^k C(n,k) k^n = (-1)^n n! behind the a_n closing value (basis).
 - evaluate interprets an expression tree at a point (expr_parser.lower).
 """
 

@@ -226,8 +226,8 @@ class Polynomial(Record):
         """Canonical display form: terms in descending power, exact rational
         coefficients, e.g. "1/3*m^3 + 1/2*m^2 + 1/6*m".
 
-        Unit coefficients are not printed ("m^2", "-m").  The output parses
-        back to an equal polynomial through expr_parser.
+        Unit coefficients are not printed ("m^2", "-m").  Up to degree 1000,
+        expr_parser's MAX_DEGREE, the output parses back to an equal polynomial.
         """
         if not self.numerators:
             return "0"

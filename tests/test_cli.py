@@ -8,11 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+import polysum.basis
 import polysum.cli as cli_module
-import polysum.oracles
 from polysum.cli import MAX_M, MAX_SUM_BITS, MAX_VERIFY_N, main
 from polysum.poly import Polynomial
-from polysum.powersum import power_sum_closed_form
+from polysum.powersum import coefficients, power_sum_closed_form
 
 EXACT_DECIMAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -321,8 +321,7 @@ def test_brute_force_m_past_the_bound_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    monkeypatch.setattr(polysum.oracles, "alternating_binomial_power_sum", no_work)
-    for name in ("power_sum_value", "power_sum_closed_form"):
+    for name in ("rising_weights", "power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     code, out, err = run_cli(capsys, "--json", *argv)
     assert code == 2
@@ -335,8 +334,7 @@ def test_verify_n_past_the_bound_is_usage_error(capsys, monkeypatch, suite):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    monkeypatch.setattr(polysum.oracles, "alternating_binomial_power_sum", no_work)
-    for name in ("power_sum_value", "power_sum_closed_form"):
+    for name in ("rising_weights", "power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     argv = ["verify", "--suite", suite, "--max-n", str(MAX_VERIFY_N + 1), "--max-m", "1"]
     code, out, err = run_cli(capsys, "--json", *argv)
@@ -380,9 +378,10 @@ def test_usage_error_on_unknown_subcommand(capsys, argv):
 
 
 def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
-    real = polysum.oracles.alternating_binomial_power_sum
+    # the suite calls rising_weights on the n + 1 values k^n; zero the n = 3 weights
+    real = cli_module.rising_weights
     monkeypatch.setattr(
-        polysum.oracles, "alternating_binomial_power_sum", lambda n: 0 if n == 3 else real(n)
+        cli_module, "rising_weights", lambda v: (0,) * len(v) if len(v) == 4 else real(v)
     )
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
     assert code == 1
@@ -392,8 +391,26 @@ def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
     assert "verification FAILED" in out
 
 
+def test_identities_suite_sees_a_defect_in_the_production_kernel(capsys, monkeypatch):
+    # zero the int row that basis.rising_weights works on, for the values k^3 only:
+    # the suite must fail where powersum.coefficients(3) fails
+    real = polysum.basis.over_common_denominator
+
+    def tampered(xs):
+        row, den = real(xs)
+        return ([0] * len(row) if list(xs) == [0, 1, 8, 27] else row), den
+
+    monkeypatch.setattr(polysum.basis, "over_common_denominator", tampered)
+    with pytest.raises(ArithmeticError):
+        coefficients(3)
+    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
+    assert code == 1
+    assert "identities: 4/5 passed" in out
+    assert "expected -6, got 0" in out
+
+
 def test_verify_failure_json_reports_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr(polysum.oracles, "alternating_binomial_power_sum", lambda n: 0)
+    monkeypatch.setattr(cli_module, "rising_weights", lambda v: (0,) * len(v))
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "4", "--json")
     assert code == 1
     payload = json.loads(out)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial, random_rational
+from polysum.expr_parser import MAX_DEGREE, ParseError, parse_polynomial
 from polysum.oracles import rising_factorial_basis_poly
 from polysum.poly import Polynomial
 
@@ -137,6 +138,14 @@ def test_render_golden_format():
     assert Polynomial((-1, 2, -1)).render("x") == "-x^2 + 2*x - 1"
     assert Polynomial((2, -2, 0, 3)).render("x") == "3*x^3 - 2*x + 2"
     assert str(s2) == s2.render()
+
+
+def test_render_parses_back_up_to_the_degree_bound():
+    at_bound = Polynomial.monomial(1, MAX_DEGREE)
+    assert parse_polynomial(at_bound.render()) == at_bound
+    with pytest.raises(ParseError) as e:  # "m^1001": the exponent at byte 2
+        parse_polynomial(Polynomial.monomial(1, MAX_DEGREE + 1).render())
+    assert e.value.offset == 2
 
 
 def test_coefficient_accessor():
