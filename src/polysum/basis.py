@@ -17,10 +17,11 @@ f apart from the outside in, by synthetic division by x, x+1, x+2, ..., and
 keeps each remainder as w_i.
 
 The weights also have a closed form in the values v_k = f(-k),
-w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) v_k = (-1)^i Delta^i v_0 / i!, which
-only the power sums use: fed v_k = k^n (the values of (-x)^n), rising_weights
-gives the paper's weights sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i)
-(see powersum).  Summation is one shift of the weights (see summation).
+w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) v_k = (-1)^i Delta^i v_0 / i!.
+Fed v_k = k^n (the values of (-x)^n), rising_weights gives the paper's sums
+sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i); powersum turns them
+into the weights a_i of S_n, and the CLI's identities suite checks the last
+of them.  Summation is one shift of the weights (see summation).
 """
 
 from __future__ import annotations

@@ -148,7 +148,10 @@ class Polynomial(Record):
         return _canonical([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     def __neg__(self) -> Polynomial:
-        return _canonical([-a for a in self.numerators], self.denominator)
+        p = object.__new__(Polynomial)  # a negated canonical row is canonical
+        object.__setattr__(p, "numerators", tuple([-a for a in self.numerators]))
+        object.__setattr__(p, "denominator", self.denominator)
+        return p
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):

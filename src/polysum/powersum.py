@@ -1,19 +1,18 @@
 """Closed forms for power sums S_n(m) = 1^n + 2^n + ... + m^n.
 
-The expanded form needs no Bernoulli numbers: basis.rising_weights takes the
-rising-factorial weights of x^n from its values (-k)^n, k = 0..n, and
-summation.telescope, the step every summand goes through, shifts them into
-S_n.  Its leading coefficient, the paper's closing value 1/(n+1), is checked
-on every build.  In the paper's notation
+Both forms are the paper's formula, which needs no Bernoulli numbers:
 
     S_n(m) = (-1)^n * sum_{i=1..n} a_i * m(m+1)(m+2)...(m+i),
 
     a_i = 1/(i+1) * sum_{k=0..i} (-1)^k * k^n / (k! * (i-k)!),
 
 where the inner sum is (-1)^i S(n,i), S the Stirling numbers of the second
-kind.  coefficients(n) returns these a_i, checking a_n = (-1)^n/(n+1) on
-every call.  For n >= 3 the common factor m(m+1) can be pulled out, giving
-the factored form
+kind.  coefficients(n) takes these a_i from basis.rising_weights of the
+values k^n, k = 0..n, and checks the closing value a_n = (-1)^n/(n+1) on
+every call.  power_sum_closed_form expands the displayed sum with
+basis.from_rising_basis, the kernel every closed form is assembled by, and
+checks its leading coefficient 1/(n+1) on every build.  For n >= 3 the
+common factor m(m+1) can be pulled out, giving the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
 
@@ -25,9 +24,8 @@ from __future__ import annotations
 import functools
 from fractions import Fraction
 
-from .basis import rising_weights
+from .basis import from_rising_basis, rising_weights
 from .poly import ONE, Polynomial, Record, join_signed
-from .summation import telescope
 
 __all__ = [
     "PowerSumCoefficients",
@@ -74,15 +72,15 @@ def coefficients(n: int) -> PowerSumCoefficients:
 
 @functools.lru_cache(maxsize=128)
 def power_sum_closed_form(n: int) -> Polynomial:
-    """S_n(m) expanded in the monomial basis of m.
+    """S_n(m) expanded in the monomial basis of m, from the a_i of coefficients(n).
 
     Degree n+1, divisible by m(m+1); ArithmeticError unless the leading
     coefficient is 1/(n+1).  Cached; results are immutable, so concurrent
     use is safe.
     """
-    if n < 1:
-        raise ValueError(f"exponent must be >= 1 (got {n})")
-    closed = telescope(rising_weights([(-k) ** n for k in range(n + 1)]))
+    closed = from_rising_basis((0, 0, *coefficients(n).coeffs))
+    if n % 2:
+        closed = -closed
     leading = closed.coefficient(n + 1)
     if leading != Fraction(1, n + 1):
         raise ArithmeticError(

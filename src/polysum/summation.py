@@ -7,9 +7,10 @@ itself a polynomial of degree n+1.  The telescoping identity
 
 which holds for i = 0 too (the length-0 product is 1), shifts the
 rising-factorial weights (w_0, ..., w_n) of f one product up: g has the
-weights (0, w_0/1, w_1/2, ..., w_n/(n+1)).  telescope is that one step; it
-serves sum_polynomial, fed the weights of f from basis.to_rising_basis, and
-powersum.power_sum_closed_form, fed the weights of x^n.
+weights (0, w_0/1, w_1/2, ..., w_n/(n+1)).  sum_polynomial takes the weights
+of f from basis.to_rising_basis, shifts them and assembles g with
+basis.from_rising_basis.  The power sums need no shift: the paper's weights
+a_i already multiply the products m(m+1)...(m+i) (see powersum).
 
 Every closed form has zero constant term (g is divisible by m).
 sum_polynomial checks two cheap invariants on every call, g(1) = f(1) and
@@ -19,7 +20,6 @@ the closed forms are tested against is oracles.brute_force_sum.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from fractions import Fraction
 
 from .basis import from_rising_basis, to_rising_basis
@@ -27,7 +27,6 @@ from .poly import Polynomial, Record
 
 __all__ = [
     "ClosedFormSum",
-    "telescope",
     "sum_polynomial",
     "sum_range",
 ]
@@ -53,20 +52,14 @@ class ClosedFormSum(Record):
         return self.poly(m)
 
 
-def telescope(weights: Sequence[Fraction]) -> Polynomial:
-    """g(m) = sum_{x=1..m} f(x) in the monomial basis of m, for the f with
-    rising-factorial weights (w_0, ..., w_n): g has the weights
-    (0, w_0/1, w_1/2, ..., w_n/(n+1))."""
-    return from_rising_basis([0, *[w / i for i, w in enumerate(weights, start=1)]])
-
-
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
     """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f.
 
     ArithmeticError unless g(1) = f(1) and, for f of degree n >= 0, g has
     degree n+1 and leading coefficient lc(f)/(n+1).
     """
-    g = telescope(to_rising_basis(f))
+    weights = to_rising_basis(f)
+    g = from_rising_basis([0, *[w / i for i, w in enumerate(weights, start=1)]])
     n = f.degree
     if g(1) != f(1):
         raise ArithmeticError(f"the closed form at m=1 is {g(1)}, not f(1) = {f(1)}")

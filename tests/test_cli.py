@@ -403,6 +403,13 @@ def test_identities_suite_sees_a_defect_in_the_production_kernel(capsys, monkeyp
     monkeypatch.setattr(polysum.basis, "over_common_denominator", tampered)
     with pytest.raises(ArithmeticError):
         coefficients(3)
+    # the expanded closed form is built from the same a_i, so it fails too
+    power_sum_closed_form.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            power_sum_closed_form(3)
+    finally:
+        power_sum_closed_form.cache_clear()
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
     assert code == 1
     assert "identities: 4/5 passed" in out

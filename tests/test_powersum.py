@@ -74,15 +74,21 @@ def test_coefficients_check_the_closing_value(monkeypatch):
 
 
 def test_closed_form_checks_the_leading_coefficient(monkeypatch):
+    # the weights a_i pass their own check; the assembled polynomial gains m^(n+1)
     import polysum.powersum as powersum_module
 
-    real = powersum_module.rising_weights
+    real = powersum_module.from_rising_basis
     monkeypatch.setattr(
-        powersum_module, "rising_weights", lambda values: real(values)[:-1] + (Fraction(0),)
+        powersum_module,
+        "from_rising_basis",
+        lambda weights: real(weights) + Polynomial.monomial(1, len(weights) - 1),
     )
     power_sum_closed_form.cache_clear()
-    with pytest.raises(ArithmeticError):
-        power_sum_closed_form(4)
+    try:
+        with pytest.raises(ArithmeticError, match="leading coefficient"):
+            power_sum_closed_form(4)
+    finally:
+        power_sum_closed_form.cache_clear()
 
 
 def test_coefficient_accessor_bounds():
