@@ -32,7 +32,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .poly import Polynomial, Record
+from .poly import Polynomial, Record, add_all
 
 __all__ = [
     "MAX_DEGREE",
@@ -327,21 +327,21 @@ def parse(src: str) -> PolyExpr:
     return _Parser(_tokenize(src)).parse()
 
 
+_X = Polynomial.from_numerators((0, 1))
+
+
 def lower(e: PolyExpr) -> Polynomial:
     """Evaluate an expression tree into a Polynomial, one call per tree level."""
     if isinstance(e, Lit):
-        return Polynomial.constant(e.value)
+        return Polynomial.from_numerators((e.value.numerator,), e.value.denominator)
     if isinstance(e, Var):
-        return Polynomial((0, 1))
+        return _X
     if isinstance(e, Neg):
         return -lower(e.operand)
     if isinstance(e, Pow):
         return lower(e.base) ** e.exponent
     if isinstance(e, Add):
-        total = lower(e.terms[0])
-        for term in e.terms[1:]:
-            total = total + lower(term)
-        return total
+        return add_all([lower(term) for term in e.terms])
     if isinstance(e, Mul):
         product = lower(e.factors[0])
         for factor in e.factors[1:]:

@@ -8,18 +8,25 @@ numerators and the denominator is 1, so equal polynomials have equal
 gives the coefficients as Fractions.  All values are immutable and all
 operations are pure.
 
-Sums and scalar multiples are int work on rows rescaled to the lcm of the
-denominators, and evaluation at t = p/q is integer Horner with one Fraction
-at the end.  A product first strips each factor's run of low-order zero
-coefficients and shifts the result back afterwards, so x^k and c*x^k are
-one-term rows.  If a factor is then one term, the product is a scaling.
-Otherwise it is one Kronecker substitution.  Each row is packed into one
-big int, coefficient j in byte-aligned slot j, w bytes wide, where
-8w - 1 >= the bit length of the product's coefficient bound
-max|a| * max|b| * min(len a, len b); a signed row packs as its positive
-part minus its negative part.  After one bigint multiply, a bias of
-2^(8w-1) in every slot makes each slot read back non-negative, so the
-product's coefficients are slices of one to_bytes call, less the bias.
+A sum of any number of terms is one routine, add_all: one lcm of the
+denominators, the rows rescaled to it and accumulated into one int row, one
+reduction; p + q is its two-term case.  Scalar multiples are int work too,
+and evaluation at t = p/q is integer Horner with one Fraction at the end.  A
+power strips the base's low-order zeros, so the base is x^k * a with
+a(0) != 0, computes a^e by J. C. P. Miller's recurrence on the int
+numerators, one coefficient from the ones before it by exact divisions, and
+shifts the result by k*e over the denominator to the e.
+
+A product first strips each factor's run of low-order zero coefficients and
+shifts the result back afterwards, so x^k and c*x^k are one-term rows.  If a
+factor is then one term, the product is a scaling.  Otherwise it is one
+Kronecker substitution.  Each row is packed into one big int, coefficient j
+in byte-aligned slot j, w bytes wide, where 8w - 1 >= the bit length of the
+product's coefficient bound max|a| * max|b| * min(len a, len b); a signed
+row packs as its positive part minus its negative part.  After one bigint
+multiply, a bias of 2^(8w-1) in every slot makes each slot read back
+non-negative, so the product's coefficients are slices of one to_bytes
+call, less the bias.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 
 __all__ = ["Polynomial"]
 
@@ -138,14 +146,7 @@ class Polynomial(Record):
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        a, b, den = self.numerators, other.numerators, self.denominator
-        if den != other.denominator:
-            den = lcm(den, other.denominator)
-            a = _scaled(a, den // self.denominator)
-            b = _scaled(b, den // other.denominator)
-        if len(a) < len(b):
-            a, b = b, a
-        return _canonical([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
+        return add_all((self, other))
 
     def __neg__(self) -> Polynomial:
         p = object.__new__(Polynomial)  # a negated canonical row is canonical
@@ -171,18 +172,27 @@ class Polynomial(Record):
         return NotImplemented
 
     def __pow__(self, exponent: int) -> Polynomial:
+        """self ** exponent by Miller's recurrence on the int numerators.
+
+        A division in the recurrence that was not exact would floor without
+        a word and carry the error up to the leading numerator, so
+        ArithmeticError unless that is the base's leading numerator ** exponent.
+        """
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power must be a nonnegative int (got {exponent})")
-        result = ONE
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if not exponent:
+            return ONE
+        nums = self.numerators
+        if not nums:
+            return self
+        k = _low_zeros(nums)
+        row = _miller(nums[k:], exponent)
+        if row[-1] != nums[-1] ** exponent:
+            raise ArithmeticError(
+                f"Miller's recurrence gave the leading numerator {row[-1]}, "
+                f"not {nums[-1]}^{exponent}"
+            )
+        return _canonical([0] * (k * exponent) + row, self.denominator**exponent)
 
     def scale(self, c: Scalar) -> Polynomial:
         """Multiply every coefficient by the scalar c."""
@@ -256,6 +266,18 @@ def over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], in
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 
+def add_all(terms: Sequence[Polynomial]) -> Polynomial:
+    """The sum of the polynomials in terms: one lcm of their denominators,
+    their rows rescaled to it and accumulated into one int row, one reduction."""
+    den = lcm(*[p.denominator for p in terms])
+    acc = [0] * max([len(p.numerators) for p in terms], default=0)
+    for p in terms:
+        if p.numerators:  # add from the first nonzero, so x^k costs one add
+            k, n = _low_zeros(p.numerators), len(p.numerators)
+            acc[k:n] = map(add, acc[k:n], _scaled(p.numerators[k:], den // p.denominator))
+    return _canonical(acc, den)
+
+
 def _init(p: Polynomial, nums: list[int], den: int) -> None:
     """Set p to the int row nums over den > 0, trimmed and reduced."""
     while nums and not nums[-1]:
@@ -286,8 +308,7 @@ def _product(p: Polynomial, q: Polynomial) -> Polynomial:
     if not a or not b:
         return _canonical([], 1)
     ka, kb = _low_zeros(a), _low_zeros(b)
-    a = a[ka:]
-    b = a if q is p else b[kb:]  # one object, so the product is a square
+    a, b = a[ka:], b[kb:]
     if len(a) == 1:
         row = _scaled(b, a[0])
     elif len(b) == 1:
@@ -299,10 +320,24 @@ def _product(p: Polynomial, q: Polynomial) -> Polynomial:
 
 def _low_zeros(row: Sequence[int]) -> int:
     """Length of the run of zeros at the low end of a nonzero row."""
-    k = 0
-    while not row[k]:
-        k += 1
-    return k
+    return row.index(next(filter(None, row)))  # no zero before it equals it
+
+
+def _miller(a: Sequence[int], e: int) -> list[int]:
+    """The int row a^e for a[0] != 0, by J. C. P. Miller's recurrence (Knuth,
+    TAOCP vol. 2, 4.7): c_0 = a_0^e and, with r = len(a) - 1,
+
+        c_j = sum_{i=1..min(j,r)} ((e+1)i - j) a_i c_{j-i} / (j a_0),
+
+    the coefficients of x^(j-1) on the two sides of a P' = e a' P, P = a^e.
+    Each c_j is an int, so each division is exact."""
+    a0 = a[0]
+    terms = [(i, ai) for i, ai in enumerate(a) if i and ai]
+    c = [a0**e]
+    for j in range(1, (len(a) - 1) * e + 1):
+        total = sum([((e + 1) * i - j) * ai * c[j - i] for i, ai in terms if i <= j])
+        c.append(total // (j * a0))
+    return c
 
 
 def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -310,7 +345,7 @@ def _kronecker(a: Sequence[int], b: Sequence[int]) -> list[int]:
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1  # bytes per slot: 8*width - 1 >= bits of bound
     packed_a = _pack(a, width)
-    packed_b = packed_a if b is a else _pack(b, width)
+    packed_b = _pack(b, width)
     n = len(a) + len(b) - 1
     half = 1 << (8 * width - 1)
     bias = int.from_bytes(half.to_bytes(width, "little") * n, "little")

@@ -16,7 +16,8 @@ from math import comb, gcd
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from polysum.expr_parser import lower, parse
+from polysum import poly
+from polysum.expr_parser import Add, lower, parse
 from polysum.poly import Polynomial
 
 # ---------------------------------------------------------------------------
@@ -115,14 +116,31 @@ def test_product_matches_schoolbook(a, b):
 
 
 @property_settings
-@given(rows, st.integers(0, 6))
+@given(rows, st.integers(0, 24))
 @example([0, 0, Fraction(-3, 7)], 5)
 @example([-(2**8), 2**8 - 1], 6)
+@example([], 0)
+@example([], 3)
+@example([Fraction(-5, 12)], 9)
+@example([3, Fraction(-1, 2), 0, 7, Fraction(2, 9), 1], 2)
 def test_power_matches_repeated_schoolbook(a, e):
     expected = [Fraction(1)]
     for _ in range(e):
         expected = ref_mul(expected, ref(a))
     check(Polynomial(a) ** e, expected)
+
+
+def test_power_checks_the_leading_numerator(monkeypatch):
+    miller = poly._miller
+
+    def off_by_one_at_the_top(a, e):
+        row = miller(a, e)
+        row[-1] += 1
+        return row
+
+    monkeypatch.setattr(poly, "_miller", off_by_one_at_the_top)
+    with pytest.raises(ArithmeticError, match="leading numerator"):
+        Polynomial((0, 3, -2)) ** 4
 
 
 @property_settings
@@ -191,6 +209,35 @@ def test_zero_polynomial_has_one_representation():
 
 
 # ---------------------------------------------------------------------------
+# Sums through the parser
+
+summand_terms = st.one_of(
+    st.builds("{}/{}x^{}".format, st.integers(0, 10**25), st.integers(1, 10**25), st.integers(0, 6)),
+    st.builds("{}/{}".format, st.integers(0, 99), st.integers(1, 99)),
+    st.sampled_from(["x", "x^3", "(x+1/3)^2", "2(x-1/6)", "-x^2", "0"]),
+)
+signed_terms = st.lists(st.tuples(st.sampled_from("+-"), summand_terms), min_size=1, max_size=12)
+
+
+@property_settings
+@given(summand_terms, signed_terms)
+@example("x", [("-", "x"), ("+", "1/2"), ("-", "1/2")])
+@example("1/6x^2", [("+", "1/3x^2"), ("-", "1/2x^2"), ("+", "1/10"), ("+", "9/10")])
+def test_lowered_sum_matches_pairwise_addition(first, rest):
+    tree = parse(first + "".join(f" {op} {term}" for op, term in rest))
+    assert isinstance(tree, Add) and len(tree.terms) == len(rest) + 1
+    pairwise = lower(parse(first))
+    expected = list(pairwise.coeffs)
+    for op, term in rest:
+        q = lower(parse(term))
+        pairwise = pairwise + q if op == "+" else pairwise - q
+        expected = ref_add(expected, list(q.coeffs) if op == "+" else ref_neg(list(q.coeffs)))
+    p = lower(tree)
+    assert (p.numerators, p.denominator) == (pairwise.numerators, pairwise.denominator)
+    check(p, expected)
+
+
+# ---------------------------------------------------------------------------
 # Large products through the parser
 
 
@@ -199,6 +246,13 @@ def test_lowered_binomial_power_matches_the_binomial_theorem():
     assert p.coeffs == tuple(
         Fraction(comb(1000, k) * 2**k * (-3) ** (1000 - k)) for k in range(1001)
     )
+
+
+def test_lowered_wide_binomial_power_matches_the_binomial_theorem():
+    p = lower(parse("(99999999999999999999x+1)^300"))
+    c = 10**20 - 1
+    assert p.numerators == tuple(comb(300, k) * c**k for k in range(301))
+    assert p.denominator == 1
 
 
 def test_lowered_trinomial_power_is_palindromic():
