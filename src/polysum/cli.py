@@ -14,9 +14,8 @@ import argparse
 import os
 import sys
 from collections.abc import Callable
-from math import factorial
 
-from .basis import rising_weights
+from .basis import alternating_sums
 from .expr_parser import MAX_DEGREE, ParseError, parse_polynomial
 from .poly import Polynomial
 from .powersum import power_sum_closed_form, power_sum_factored_form, power_sum_value
@@ -156,11 +155,11 @@ def _failure(check: str, n: int, expected, got, **where) -> dict:
 
 
 def _suite_identities(max_n: int) -> tuple[int, list[dict]]:
-    failures = []
+    failures, expected = [], 1
     for n in range(1, max_n + 1):
-        expected = factorial(n) * (-1 if n % 2 else 1)
-        # n! w_n of the values k^n is sum_k (-1)^k C(n,k) k^n, (n+1)! a_n in powersum
-        got = factorial(n) * rising_weights([k**n for k in range(n + 1)])[n]
+        expected *= -n  # (-1)^n n!
+        # sum_k (-1)^k C(n,k) k^n, the sum powersum turns into a_n by (n+1)!
+        got = alternating_sums([k**n for k in range(n + 1)])[n]
         if got != expected:
             failures.append(_failure("alternating-identity", n, expected, got))
     return max_n, failures

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, floordiv
 
 __all__ = ["Polynomial"]
 
@@ -262,8 +262,16 @@ class Polynomial(Record):
 
 def over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
     """The ints D*x and D, the lcm of the denominators of xs."""
-    den = lcm(*[x.denominator for x in xs])
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    return lowest_terms([x.numerator for x in xs], [x.denominator for x in xs])
+
+
+def lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], int]:
+    """The ints D*nums[i]/dens[i] and D > 0, D the lcm of the denominators of
+    the pairs in lowest terms: one gcd per pair keeps D as small as it can be."""
+    gs = list(map(gcd, nums, dens))
+    dens = list(map(floordiv, dens, gs))
+    den = lcm(*dens)
+    return [a // g * (den // d) for a, g, d in zip(nums, gs, dens)], den
 
 
 def add_all(terms: Sequence[Polynomial]) -> Polynomial:

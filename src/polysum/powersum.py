@@ -7,12 +7,14 @@ Both forms are the paper's formula, which needs no Bernoulli numbers:
     a_i = 1/(i+1) * sum_{k=0..i} (-1)^k * k^n / (k! * (i-k)!),
 
 where the inner sum is (-1)^i S(n,i), S the Stirling numbers of the second
-kind.  coefficients(n) takes these a_i from basis.rising_weights of the
-values k^n, k = 0..n, and checks the closing value a_n = (-1)^n/(n+1) on
-every call.  power_sum_closed_form expands the displayed sum with
-basis.from_rising_basis, the kernel every closed form is assembled by, and
-checks its leading coefficient 1/(n+1) on every build.  For n >= 3 the
-common factor m(m+1) can be pulled out, giving the factored form
+kind.  i! times the inner sums are basis.alternating_sums of the values k^n,
+k = 0..n; _weights puts them over (i+1)! as one int row over one
+denominator and checks the closing value a_n = (-1)^n/(n+1) on every call.
+coefficients(n) makes that row Fractions.  power_sum_closed_form expands the
+displayed sum from the int row with basis.from_rising_row, the kernel every
+closed form is assembled by, and checks its leading coefficient 1/(n+1) on
+every build.  For n >= 3 the common factor m(m+1) can be pulled out, giving
+the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
 
@@ -23,9 +25,11 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 
-from .basis import from_rising_basis, rising_weights
-from .poly import ONE, Polynomial, Record, join_signed
+from .basis import alternating_sums, from_rising_row
+from .poly import ONE, Polynomial, Record, join_signed, lowest_terms
 
 __all__ = [
     "PowerSumCoefficients",
@@ -53,34 +57,38 @@ class PowerSumCoefficients(Record):
         return self.coeffs[i - 1]
 
 
-def coefficients(n: int) -> PowerSumCoefficients:
-    """All weights a_1..a_n for the exponent n, each by the defining sum;
-    ArithmeticError unless a_n is the paper's closing value (-1)^n/(n+1)."""
+def _weights(n: int) -> tuple[list[int], int]:
+    """a_1..a_n for the exponent n, each by the defining sum, as one int row
+    over one denominator; ArithmeticError unless a_n is (-1)^n/(n+1)."""
     if n < 1:
         raise ValueError(f"exponent must be >= 1 (got {n})")
-    _, *weights = rising_weights([k**n for k in range(n + 1)])
+    _, *sums = alternating_sums([k**n for k in range(n + 1)])
+    row, den = lowest_terms(sums, list(accumulate(range(2, n + 2), mul)))  # over (i+1)!
+    if row[-1] * (n + 1) != (-den if n % 2 else den):
+        raise ArithmeticError(f"a_n disagrees with (-1)^n/(n+1) for n={n}: {row[-1]}/{den}")
+    return row, den
+
+
+def coefficients(n: int) -> PowerSumCoefficients:
+    """All weights a_1..a_n for the exponent n, as Fractions."""
+    row, den = _weights(n)
     # per-call tuples are built from lists: tuple(<generator>) over-allocates
     # and resizes, which raised peak memory by 8% over many cold builds
-    coeffs = tuple([w / (i + 1) for i, w in enumerate(weights, start=1)])
-    closing = Fraction((-1) ** n, n + 1)
-    if coeffs[-1] != closing:
-        raise ArithmeticError(
-            f"a_n disagrees with (-1)^n/(n+1) for n={n}: {coeffs[-1]} != {closing}"
-        )
-    return PowerSumCoefficients(n, coeffs)
+    return PowerSumCoefficients(n, tuple([Fraction(a, den) for a in row]))
 
 
 @functools.lru_cache(maxsize=128)
 def power_sum_closed_form(n: int) -> Polynomial:
-    """S_n(m) expanded in the monomial basis of m, from the a_i of coefficients(n).
+    """S_n(m) expanded in the monomial basis of m, from the a_i of _weights(n).
 
     Degree n+1, divisible by m(m+1); ArithmeticError unless the leading
     coefficient is 1/(n+1).  Cached; results are immutable, so concurrent
     use is safe.
     """
-    closed = from_rising_basis((0, 0, *coefficients(n).coeffs))
+    row, den = _weights(n)
     if n % 2:
-        closed = -closed
+        row = [-a for a in row]
+    closed = from_rising_row([0, 0, *row], den)
     leading = closed.coefficient(n + 1)
     if leading != Fraction(1, n + 1):
         raise ArithmeticError(

@@ -8,8 +8,9 @@ itself a polynomial of degree n+1.  The telescoping identity
 which holds for i = 0 too (the length-0 product is 1), shifts the
 rising-factorial weights (w_0, ..., w_n) of f one product up: g has the
 weights (0, w_0/1, w_1/2, ..., w_n/(n+1)).  sum_polynomial takes the weights
-of f from basis.to_rising_basis, shifts them and assembles g with
-basis.from_rising_basis.  The power sums need no shift: the paper's weights
+of f from basis.to_rising_row as ints W_i over f's denominator D, reduces
+the pairs (W_i, D(i+1)) with poly.lowest_terms and assembles g with
+basis.from_rising_row.  The power sums need no shift: the paper's weights
 a_i already multiply the products m(m+1)...(m+i) (see powersum).
 
 Every closed form has zero constant term (g is divisible by m).
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .basis import from_rising_basis, to_rising_basis
-from .poly import Polynomial, Record
+from .basis import from_rising_row, to_rising_row
+from .poly import Polynomial, Record, lowest_terms
 
 __all__ = [
     "ClosedFormSum",
@@ -58,8 +59,9 @@ def sum_polynomial(f: Polynomial) -> ClosedFormSum:
     ArithmeticError unless g(1) = f(1) and, for f of degree n >= 0, g has
     degree n+1 and leading coefficient lc(f)/(n+1).
     """
-    weights = to_rising_basis(f)
-    g = from_rising_basis([0, *[w / i for i, w in enumerate(weights, start=1)]])
+    row, d = to_rising_row(f), f.denominator
+    shifted, den = lowest_terms(row, [d * i for i in range(1, len(row) + 1)])
+    g = from_rising_row([0, *shifted], den)
     n = f.degree
     if g(1) != f(1):
         raise ArithmeticError(f"the closed form at m=1 is {g(1)}, not f(1) = {f(1)}")

@@ -6,9 +6,9 @@ from math import comb as binomial
 from math import factorial
 
 from conftest import random_polynomial, random_rational
-from polysum.basis import from_rising_basis, rising_weights, to_rising_basis
+from polysum.basis import alternating_sums, from_rising_basis, to_rising_basis
 from polysum.oracles import rising_factorial_basis_poly, solve_interpolation_system
-from polysum.poly import Polynomial
+from polysum.poly import Polynomial, over_common_denominator
 
 X_SQUARED = Polynomial((0, 0, 1))
 
@@ -44,7 +44,13 @@ def literal_weights(values):
     )
 
 
-def test_rising_weights_match_the_alternating_sum():
+def weights_from_alternating_sums(values):
+    """w_i = alternating_sums[i] / (i! * D) of the values over their common denominator D."""
+    row, den = over_common_denominator(values)
+    return tuple(Fraction(s, factorial(i) * den) for i, s in enumerate(alternating_sums(row)))
+
+
+def test_alternating_sums_match_the_literal_sum():
     rng = random.Random(20261018)
     kinds = {
         "int": lambda: rng.randint(-(10**30), 10**30),
@@ -54,9 +60,11 @@ def test_rising_weights_match_the_alternating_sum():
     for kind, draw in kinds.items():
         for length in range(1, 42):
             values = [draw() for _ in range(length)]
-            assert rising_weights(values) == literal_weights(values), (kind, length)
-    assert rising_weights([]) == ()
-    assert rising_weights([Fraction(3, 7)]) == (Fraction(3, 7),)
+            assert weights_from_alternating_sums(values) == literal_weights(values), (kind, length)
+    assert alternating_sums([]) == []
+    assert alternating_sums([7]) == [7]
+    # the paper's sums for n = 3: (-1)^i i! S(3, i)
+    assert alternating_sums([k**3 for k in range(4)]) == [0, -1, 6, -6]
 
 
 def test_to_rising_basis_of_an_integer_polynomial():

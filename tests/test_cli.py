@@ -10,6 +10,7 @@ import pytest
 
 import polysum.basis
 import polysum.cli as cli_module
+import polysum.powersum
 from polysum.cli import MAX_M, MAX_SUM_BITS, MAX_VERIFY_N, main
 from polysum.poly import Polynomial
 from polysum.powersum import coefficients, power_sum_closed_form
@@ -321,7 +322,7 @@ def test_brute_force_m_past_the_bound_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    for name in ("rising_weights", "power_sum_value", "power_sum_closed_form"):
+    for name in ("alternating_sums", "power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     code, out, err = run_cli(capsys, "--json", *argv)
     assert code == 2
@@ -334,7 +335,7 @@ def test_verify_n_past_the_bound_is_usage_error(capsys, monkeypatch, suite):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    for name in ("rising_weights", "power_sum_value", "power_sum_closed_form"):
+    for name in ("alternating_sums", "power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     argv = ["verify", "--suite", suite, "--max-n", str(MAX_VERIFY_N + 1), "--max-m", "1"]
     code, out, err = run_cli(capsys, "--json", *argv)
@@ -378,10 +379,10 @@ def test_usage_error_on_unknown_subcommand(capsys, argv):
 
 
 def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
-    # the suite calls rising_weights on the n + 1 values k^n; zero the n = 3 weights
-    real = cli_module.rising_weights
+    # the suite calls alternating_sums on the n + 1 values k^n; zero the n = 3 sums
+    real = cli_module.alternating_sums
     monkeypatch.setattr(
-        cli_module, "rising_weights", lambda v: (0,) * len(v) if len(v) == 4 else real(v)
+        cli_module, "alternating_sums", lambda v: [0] * len(v) if len(v) == 4 else real(v)
     )
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
     assert code == 1
@@ -392,15 +393,16 @@ def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
 
 
 def test_identities_suite_sees_a_defect_in_the_production_kernel(capsys, monkeypatch):
-    # zero the int row that basis.rising_weights works on, for the values k^3 only:
-    # the suite must fail where powersum.coefficients(3) fails
-    real = polysum.basis.over_common_denominator
+    # the suite and the power-sum weights call one kernel; zero its sums for the
+    # values k^3 only: the suite must fail where powersum.coefficients(3) fails
+    real = polysum.basis.alternating_sums
+    assert cli_module.alternating_sums is real and polysum.powersum.alternating_sums is real
 
-    def tampered(xs):
-        row, den = real(xs)
-        return ([0] * len(row) if list(xs) == [0, 1, 8, 27] else row), den
+    def tampered(values):
+        return [0] * len(values) if list(values) == [0, 1, 8, 27] else real(values)
 
-    monkeypatch.setattr(polysum.basis, "over_common_denominator", tampered)
+    for module in (cli_module, polysum.powersum):
+        monkeypatch.setattr(module, "alternating_sums", tampered)
     with pytest.raises(ArithmeticError):
         coefficients(3)
     # the expanded closed form is built from the same a_i, so it fails too
@@ -417,7 +419,7 @@ def test_identities_suite_sees_a_defect_in_the_production_kernel(capsys, monkeyp
 
 
 def test_verify_failure_json_reports_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr(cli_module, "rising_weights", lambda v: (0,) * len(v))
+    monkeypatch.setattr(cli_module, "alternating_sums", lambda v: [0] * len(v))
     code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "4", "--json")
     assert code == 1
     payload = json.loads(out)

@@ -11,7 +11,7 @@ the edges of the byte slots the Kronecker product packs them into.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -160,6 +160,30 @@ def test_evaluation_matches_reference(a, t):
     value = Polynomial(a)(t)
     assert isinstance(value, Fraction)
     assert value == ref_eval(ref(a), Fraction(t))
+
+
+# ---------------------------------------------------------------------------
+# Common denominators: each pair in lowest terms, then one lcm
+
+
+pairs = st.lists(
+    st.tuples(
+        st.one_of(st.just(0), st.integers(-(10**30), 10**30)),
+        st.one_of(st.integers(1, 10**20), st.builds(factorial, st.integers(1, 60))),
+    ),
+    max_size=12,
+)
+
+
+@property_settings
+@given(pairs)
+@example([(2, 4), (1, 3)])  # 1/2 and 1/3: over 6, where the unreduced lcm is 12
+@example([(0, 6), (-4, 24)])
+@example([((-1) ** i * 2 ** (i + 4), factorial(i + 1)) for i in range(1, 20)])
+def test_lowest_terms_matches_reduced_fractions(pairs):
+    nums, dens = [a for a, _ in pairs], [d for _, d in pairs]
+    expected = poly.over_common_denominator([Fraction(a, d) for a, d in pairs])
+    assert poly.lowest_terms(nums, dens) == expected
 
 
 # ---------------------------------------------------------------------------

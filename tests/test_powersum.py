@@ -63,25 +63,31 @@ def test_coefficients_match_stirling_numbers():
 
 
 def test_coefficients_check_the_closing_value(monkeypatch):
+    # zero the last alternating sum: both forms are built from the same a_i, so
+    # the a_n check fires in coefficients and in the cold closed-form build
     import polysum.powersum as powersum_module
 
-    real = powersum_module.rising_weights
-    monkeypatch.setattr(
-        powersum_module, "rising_weights", lambda values: real(values)[:-1] + (Fraction(0),)
-    )
-    with pytest.raises(ArithmeticError):
+    real = powersum_module.alternating_sums
+    monkeypatch.setattr(powersum_module, "alternating_sums", lambda values: real(values)[:-1] + [0])
+    with pytest.raises(ArithmeticError, match="a_n disagrees"):
         coefficients(4)
+    power_sum_closed_form.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="a_n disagrees"):
+            power_sum_closed_form(4)
+    finally:
+        power_sum_closed_form.cache_clear()
 
 
 def test_closed_form_checks_the_leading_coefficient(monkeypatch):
     # the weights a_i pass their own check; the assembled polynomial gains m^(n+1)
     import polysum.powersum as powersum_module
 
-    real = powersum_module.from_rising_basis
+    real = powersum_module.from_rising_row
     monkeypatch.setattr(
         powersum_module,
-        "from_rising_basis",
-        lambda weights: real(weights) + Polynomial.monomial(1, len(weights) - 1),
+        "from_rising_row",
+        lambda row, den: real(row, den) + Polynomial.monomial(1, len(row) - 1),
     )
     power_sum_closed_form.cache_clear()
     try:

@@ -167,8 +167,8 @@ def test_telescoping():
 def test_sum_polynomial_checks_its_invariants(monkeypatch, tamper, message):
     import polysum.summation as summation_module
 
-    real = summation_module.from_rising_basis
-    monkeypatch.setattr(summation_module, "from_rising_basis", lambda w: tamper(real(w)))
+    real = summation_module.from_rising_row
+    monkeypatch.setattr(summation_module, "from_rising_row", lambda row, den: tamper(real(row, den)))
     f = Polynomial((Fraction(1, 3), -2, 0, 5))
     with pytest.raises(ArithmeticError, match=message):
         sum_polynomial(f)
