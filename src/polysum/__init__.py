@@ -6,7 +6,7 @@ basis product telescopes, which turns sum_{x=1..m} f(x) into a polynomial
 in m.  Power sums 1^n + ... + m^n get a specialized expansion that needs no
 Bernoulli numbers, plus a factored form pulling out m(m+1) for n >= 3.
 The independent oracles that check these routes (literal sums, the
-Bernoulli formula and others) live in polysum.oracles.
+Bernoulli formula and others) are in tests/reference.py, which is not shipped.
 
 Quick start::
 

@@ -23,7 +23,7 @@ Exactly one variable may appear; the first identifier fixes its name.
 
 Syntax errors raise ParseError carrying the byte offset into the UTF-8
 encoding of the source.  Parsed trees are shallow (see MAX_NESTING), so
-lower and oracles.evaluate recurse once per level.
+lower and evaluate in tests/reference.py (not shipped) recurse once per level.
 """
 
 from __future__ import annotations

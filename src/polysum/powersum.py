@@ -18,7 +18,8 @@ the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
 
-The paper's literal sum and the Bernoulli-number formula are in oracles.
+The paper's literal sum and the Bernoulli-number formula are test oracles in
+tests/reference.py, which does not ship in the package.
 """
 
 from __future__ import annotations

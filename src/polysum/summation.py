@@ -15,8 +15,8 @@ a_i already multiply the products m(m+1)...(m+i) (see powersum).
 
 Every closed form has zero constant term (g is divisible by m).
 sum_polynomial checks two cheap invariants on every call, g(1) = f(1) and
-the leading coefficient lc(f)/(n+1).  The literal term-by-term reference
-the closed forms are tested against is oracles.brute_force_sum.
+the leading coefficient lc(f)/(n+1).  The tests check the closed forms against
+brute_force_sum in tests/reference.py, which does not ship in the package.
 """
 
 from __future__ import annotations

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 from polysum import Polynomial
+from polysum.cli import main
 
 
 def random_rational(rng: random.Random, max_num: int = 50, max_den: int = 50) -> Fraction:
@@ -20,6 +21,12 @@ def random_polynomial(
     (or to zero) when random coefficients vanish."""
     degree = rng.randint(0, max_degree)
     return Polynomial(random_rational(rng, max_num, max_den) for _ in range(degree + 1))
+
+
+def run_cli(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

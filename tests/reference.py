@@ -1,5 +1,5 @@
-"""Independent oracles that check the production routes; only the tests
-call them, and no module of the library imports this one.
+"""Independent oracles that check the production routes.  This module lives
+in tests/ and does not ship in the polysum package; only the tests import it.
 
 Each one reaches its answer by a different road from the code it checks:
 
@@ -22,8 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
-from .expr_parser import Add, Lit, Mul, Neg, Pow, PolyExpr, Var
-from .poly import ONE, Polynomial
+from polysum.expr_parser import Add, Lit, Mul, Neg, Pow, PolyExpr, Var
+from polysum.poly import ONE, Polynomial
 
 __all__ = [
     "brute_force_sum",

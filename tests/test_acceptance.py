@@ -15,14 +15,6 @@ from fractions import Fraction
 from conftest import random_polynomial
 from polysum.basis import from_rising_basis, to_rising_basis
 from polysum.expr_parser import parse_polynomial
-from polysum.oracles import (
-    alternating_binomial_power_sum,
-    brute_force_sum,
-    coefficient_from_sum,
-    double_sum_closed_form,
-    faulhaber_bernoulli_oracle,
-    solve_interpolation_system,
-)
 from polysum.poly import Polynomial
 from polysum.powersum import (
     coefficients,
@@ -31,6 +23,14 @@ from polysum.powersum import (
     power_sum_value,
 )
 from polysum.summation import sum_polynomial
+from reference import (
+    alternating_binomial_power_sum,
+    brute_force_sum,
+    coefficient_from_sum,
+    double_sum_closed_form,
+    faulhaber_bernoulli_oracle,
+    solve_interpolation_system,
+)
 
 GENERAL_SUM_SEED = 74123  # criteria 2 and 6 must draw the same polynomials
 

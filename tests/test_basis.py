@@ -7,8 +7,8 @@ from math import factorial
 
 from conftest import random_polynomial, random_rational
 from polysum.basis import alternating_sums, from_rising_basis, to_rising_basis
-from polysum.oracles import rising_factorial_basis_poly, solve_interpolation_system
 from polysum.poly import Polynomial, over_common_denominator
+from reference import rising_factorial_basis_poly, solve_interpolation_system
 
 X_SQUARED = Polynomial((0, 0, 1))
 

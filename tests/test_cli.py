@@ -11,17 +11,12 @@ import pytest
 import polysum.basis
 import polysum.cli as cli_module
 import polysum.powersum
-from polysum.cli import MAX_M, MAX_SUM_BITS, MAX_VERIFY_N, main
+from conftest import run_cli
+from polysum.cli import MAX_M, MAX_SUM_BITS, MAX_VERIFY_N
 from polysum.poly import Polynomial
 from polysum.powersum import coefficients, power_sum_closed_form
 
 EXACT_DECIMAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_closed_form_expanded(capsys):

@@ -9,17 +9,11 @@ import sys
 
 import pytest
 
-from polysum.cli import main
+from conftest import run_cli
 
 LIMIT = sys.get_int_max_str_digits()
 
 pytestmark = pytest.mark.skipif(LIMIT == 0, reason="int-string limit disabled")
-
-
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
 
 
 def test_overlong_literal_is_parse_error(capsys):

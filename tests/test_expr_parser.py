@@ -21,8 +21,8 @@ from polysum.expr_parser import (
     parse,
     parse_polynomial,
 )
-from polysum.oracles import evaluate
 from polysum.poly import Polynomial
+from reference import evaluate
 
 X = Polynomial((0, 1))
 

@@ -1,10 +1,12 @@
-"""No production module or CLI command depends on the check-only oracles, the
-package exports only the production surface, and a one-shot CLI process
-imports only what its command runs."""
+"""The check-only oracles live in tests/reference.py and do not ship in the
+package, no production module or CLI command imports them, the package exports
+only the production surface, and a one-shot CLI process imports only what its
+command runs."""
 
 from __future__ import annotations
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -52,13 +54,12 @@ def imported_modules(tree: ast.Module) -> set[str]:
 def test_no_module_imports_oracles():
     offenders = []
     for path in sorted(SRC.glob("*.py")):
-        if path.stem == "oracles":
-            continue
         for name in imported_modules(ast.parse(path.read_text(encoding="utf-8"))):
-            if "oracles" in name.split("."):
+            if {"oracles", "reference"} & set(name.split(".")):
                 offenders.append(f"{path.name} imports {name}")
     assert offenders == []
-    assert (SRC / "oracles.py").is_file()
+    assert not (SRC / "oracles.py").exists()
+    assert importlib.util.find_spec("polysum.oracles") is None
 
 
 def test_public_surface_is_the_production_names():

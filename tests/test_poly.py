@@ -7,8 +7,8 @@ import pytest
 
 from conftest import random_polynomial, random_rational
 from polysum.expr_parser import MAX_DEGREE, ParseError, parse_polynomial
-from polysum.oracles import rising_factorial_basis_poly
 from polysum.poly import Polynomial
+from reference import rising_factorial_basis_poly
 
 X = Polynomial((0, 1))
 

@@ -6,20 +6,20 @@ from math import factorial
 
 import pytest
 
-from polysum.oracles import (
-    alternating_binomial_power_sum,
-    bernoulli_numbers,
-    brute_force_sum,
-    coefficient_from_sum,
-    double_sum_closed_form,
-    faulhaber_bernoulli_oracle,
-)
 from polysum.poly import Polynomial
 from polysum.powersum import (
     coefficients,
     power_sum_closed_form,
     power_sum_factored_form,
     power_sum_value,
+)
+from reference import (
+    alternating_binomial_power_sum,
+    bernoulli_numbers,
+    brute_force_sum,
+    coefficient_from_sum,
+    double_sum_closed_form,
+    faulhaber_bernoulli_oracle,
 )
 
 M_TIMES_M_PLUS_1 = Polynomial((0, 1, 1))

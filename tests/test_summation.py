@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
-from polysum.oracles import brute_force_sum, rising_factorial_basis_poly, sum_rising_factorial
 from polysum.poly import Polynomial
 from polysum.summation import sum_polynomial, sum_range
+from reference import brute_force_sum, rising_factorial_basis_poly, sum_rising_factorial
 
 X = Polynomial((0, 1))
 X_SQUARED = Polynomial((0, 0, 1))
