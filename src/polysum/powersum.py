@@ -149,15 +149,18 @@ def power_sum_factored_form(n: int) -> FactoredPowerSum:
 def power_sum_value(n: int, m: int) -> int:
     """Exact integer S_n(m), by evaluating the expanded closed form.
 
-    m = 0 gives the empty sum 0.  The closed form always takes integer
-    values at integers; a non-integer result would mean the construction
-    itself is broken, so it raises rather than rounding.
+    m = 0 gives the empty sum 0; TypeError unless m is an int.  The closed
+    form always takes integer values at integers; a non-integer result would
+    mean the construction itself is broken, so it raises rather than rounding.
     """
+    if not isinstance(m, int):
+        raise TypeError(f"m must be an int (got {type(m).__name__})")
     if m < 0:
         raise ValueError(f"m must be >= 0 (got {m})")
-    value = power_sum_closed_form(n)(m)
-    if value.denominator != 1:
+    num, den = power_sum_closed_form(n)._at(m)
+    value, rest = divmod(num, den)  # one division in place of a Fraction's gcd
+    if rest:
         raise ArithmeticError(
-            f"closed form for n={n} returned non-integer {value} at m={m}"
+            f"closed form for n={n} returned non-integer {Fraction(num, den)} at m={m}"
         )
-    return value.numerator
+    return value

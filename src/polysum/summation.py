@@ -43,11 +43,16 @@ class ClosedFormSum(Record):
     __slots__ = ("poly", "source_degree")
 
     def value_at(self, m: int) -> Fraction:
-        """Exact value of the sum for m >= 1; m = 0 gives the empty sum 0.
+        """Exact value of the sum for an int m >= 1; m = 0 gives the empty
+        sum 0.
 
-        Negative m has no summation meaning; self.poly(m) evaluates the
-        polynomial there anyway.
+        Negative or non-integer m has no summation meaning; self.poly(m)
+        evaluates the polynomial there anyway.
         """
+        if not isinstance(m, int):
+            raise TypeError(
+                f"m must be an int (got {type(m).__name__}); poly(m) is the polynomial extension"
+            )
         if m < 0:
             raise ValueError(f"m must be >= 0 (got {m}); poly(m) is the polynomial extension")
         return self.poly(m)

@@ -73,6 +73,18 @@ rows = st.builds(
     st.integers(0, 3),
 )
 points = st.one_of(st.integers(-(10**6), 10**6), rationals)
+# evaluation: points of thousands of bits split rows of about 40 terms into
+# several Horner chunks, which then combine pairwise
+wide_points = st.builds(
+    lambda bits, sign, low: sign * ((1 << bits) + low),
+    st.integers(1000, 6000),
+    st.sampled_from((1, -1)),
+    st.integers(0, 2**64),
+)
+eval_points = st.one_of(
+    points, wide_points, st.builds(Fraction, wide_points, st.integers(1, 10**25))
+)
+long_rows = st.lists(coefficients, min_size=36, max_size=44)
 
 property_settings = settings(deadline=None)
 
@@ -152,10 +164,23 @@ def test_scale_matches_reference(a, c):
     check(c * Polynomial(a), expected)
 
 
+def chunked(terms: int) -> int:
+    """A point just below 2^(_CHUNK_BITS / terms), where evaluation runs
+    Horner chunks of about that many terms, and a row of that many is one."""
+    return (1 << (poly._CHUNK_BITS // terms - 2)) + 1
+
+
 @property_settings
-@given(rows, points)
+@given(st.one_of(rows, long_rows), eval_points)
 @example([], Fraction(1, 3))
 @example([0, 0, 1], Fraction(-2, 10**25))
+@example([], chunked(4))  # the zero polynomial at a wide point
+@example([5, -1, Fraction(2, 3), 7], chunked(4))  # exactly one chunk
+@example([5, -1, Fraction(2, 3), 7, 2], chunked(4))  # 3 + 2: a short top chunk
+@example(list(range(1, 13)), -chunked(4))  # three chunks: an odd level
+@example([Fraction(k, 3) for k in range(-9, 10)], chunked(4))  # 4 + 4 + 4 + 4 + 3
+@example([Fraction(k, 7) for k in range(-9, 10)], Fraction(chunked(4), 3 * 10**20))  # rational
+@example([2**64 - k for k in range(40)], Fraction(-chunked(3), 2**70 + 1))  # 13 * 3 + 1
 def test_evaluation_matches_reference(a, t):
     value = Polynomial(a)(t)
     assert isinstance(value, Fraction)

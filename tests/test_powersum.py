@@ -6,6 +6,7 @@ from math import factorial
 
 import pytest
 
+from polysum import powersum
 from polysum.poly import Polynomial
 from polysum.powersum import (
     coefficients,
@@ -174,6 +175,26 @@ def test_power_sum_value_domain_errors():
         power_sum_value(0, 5)
     with pytest.raises(ValueError):
         power_sum_value(3, -1)
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, Fraction(5, 2), Fraction(3), "3", None])
+def test_power_sum_value_takes_only_int_m(m, monkeypatch):
+    def no_build(n):
+        raise AssertionError("a non-int m reached the closed form")
+
+    monkeypatch.setattr(powersum, "power_sum_closed_form", no_build)
+    with pytest.raises(TypeError, match="m must be an int"):
+        power_sum_value(3, m)
+
+
+def test_power_sum_value_rejects_a_non_integer_value(monkeypatch):
+    """A closed form that is not integer-valued at an integer m is a broken
+    construction: ArithmeticError, not a rounded value."""
+    half_m = Polynomial((0, Fraction(1, 2)))
+    monkeypatch.setattr(powersum, "power_sum_closed_form", lambda n: half_m)
+    assert power_sum_value(3, 4) == 2
+    with pytest.raises(ArithmeticError, match="non-integer 3/2 at m=3"):
+        power_sum_value(3, 3)
 
 
 def test_power_sum_value_against_literal_sums():

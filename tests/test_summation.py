@@ -12,6 +12,7 @@ from reference import brute_force_sum, rising_factorial_basis_poly, sum_rising_f
 
 X = Polynomial((0, 1))
 X_SQUARED = Polynomial((0, 0, 1))
+X_CUBED = Polynomial((0, 0, 0, 1))
 
 
 def test_sum_rising_factorial_triangular():
@@ -89,6 +90,14 @@ def test_value_at_zero_and_negative():
         g.value_at(-1)
     # the polynomial itself carries the extension
     assert g.poly(-1) == 0  # m(m+1)/2 at m=-1
+
+
+@pytest.mark.parametrize("m", [2.5, 3.0, Fraction(5, 2), Fraction(3), "3", None])
+def test_value_at_takes_only_int_m(m):
+    g = sum_polynomial(X_CUBED)
+    with pytest.raises(TypeError, match="m must be an int"):
+        g.value_at(m)
+    assert g.poly(Fraction(5, 2)) == Fraction(1225, 64)  # the extension stays on poly
 
 
 def test_sum_range_examples():
