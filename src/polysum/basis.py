@@ -22,8 +22,8 @@ w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) v_k = (-1)^i Delta^i v_0 / i!;
 alternating_sums gives its int sums.  Fed v_k = k^n, they are i! times the
 paper's sums sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i); powersum
 turns them into the weights a_i of S_n, and the CLI's identities suite
-checks the last of them.  Summation is one shift of the weights (see
-summation).
+checks the last of them.  Summation is one shift of the weights; its
+closing step, summation.close, calls from_rising_row for every closed form.
 """
 
 from __future__ import annotations

@@ -37,6 +37,13 @@ class _UsageError(Exception):
     pass
 
 
+def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    if value < lo:
+        raise _UsageError(f"{name} must be >= {lo} (got {value})")
+    if value > hi:
+        raise _UsageError(f"{name} must be <= {hi} (got {value})")
+
+
 def _exact_text(render: Callable[[], str]) -> str:
     """Run one formatting call; Python's int-string digit limit is a usage error."""
     try:
@@ -64,10 +71,7 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
     n = args.n
     if n == 0:
         raise _UsageError("n must be >= 1; the n = 0 sum is m itself: polysum sum --expr 1")
-    if n < 0:
-        raise _UsageError(f"n must be >= 1 (got {n})")
-    if n > MAX_DEGREE:
-        raise _UsageError(f"n must be <= {MAX_DEGREE} (got {n})")
+    _check_range("n", n, 1, MAX_DEGREE)
     if args.factored:
         if n < 3:
             raise _UsageError(f"the factored form requires n >= 3 (got {n})")
@@ -200,14 +204,8 @@ _SUITES = {
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.max_n < 1:
-        raise _UsageError(f"--max-n must be >= 1 (got {args.max_n})")
-    if args.max_n > MAX_VERIFY_N:
-        raise _UsageError(f"--max-n must be <= {MAX_VERIFY_N} (got {args.max_n})")
-    if args.max_m < 1:
-        raise _UsageError(f"--max-m must be >= 1 (got {args.max_m})")
-    if args.max_m > MAX_M:
-        raise _UsageError(f"--max-m must be <= {MAX_M} (got {args.max_m})")
+    _check_range("--max-n", args.max_n, 1, MAX_VERIFY_N)
+    _check_range("--max-m", args.max_m, 1, MAX_M)
     work = args.max_m * args.max_n
     if args.suite in ("oracle", "all") and work > MAX_M:
         raise _UsageError(

@@ -10,11 +10,11 @@ where the inner sum is (-1)^i S(n,i), S the Stirling numbers of the second
 kind.  i! times the inner sums are basis.alternating_sums of the values k^n,
 k = 0..n; _weights puts them over (i+1)! as one int row over one
 denominator and checks the closing value a_n = (-1)^n/(n+1) on every call.
-coefficients(n) makes that row Fractions.  power_sum_closed_form expands the
-displayed sum from the int row with basis.from_rising_row, the kernel every
-closed form is assembled by, and checks its leading coefficient 1/(n+1) on
-every build.  For n >= 3 the common factor m(m+1) can be pulled out, giving
-the factored form
+coefficients(n) makes that row Fractions.  power_sum_closed_form hands the
+row, signed by (-1)^n, to summation.close, the step that assembles and checks
+every closed form, here with f = m^n: S_n(1) = 1 and the leading coefficient
+1/(n+1).  For n >= 3 the common factor m(m+1) can be pulled out, giving the
+factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
 
@@ -29,8 +29,9 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .basis import alternating_sums, from_rising_row
+from .basis import alternating_sums
 from .poly import ONE, Polynomial, Record, join_signed, lowest_terms
+from .summation import close
 
 __all__ = [
     "PowerSumCoefficients",
@@ -82,20 +83,15 @@ def coefficients(n: int) -> PowerSumCoefficients:
 def power_sum_closed_form(n: int) -> Polynomial:
     """S_n(m) expanded in the monomial basis of m, from the a_i of _weights(n).
 
-    Degree n+1, divisible by m(m+1); ArithmeticError unless the leading
-    coefficient is 1/(n+1).  Cached; results are immutable, so concurrent
-    use is safe.
+    Degree n+1, divisible by m(m+1); ArithmeticError from summation.close
+    unless S_n(1) = 1 and the leading coefficient is 1/(n+1).  Cached;
+    results are immutable, so concurrent use is safe.
     """
     row, den = _weights(n)
     if n % 2:
         row = [-a for a in row]
-    closed = from_rising_row([0, 0, *row], den)
-    leading = closed.coefficient(n + 1)
-    if leading != Fraction(1, n + 1):
-        raise ArithmeticError(
-            f"leading coefficient disagrees with 1/(n+1) for n={n}: {leading} != 1/{n + 1}"
-        )
-    return closed
+    # a_i multiplies m(m+1)...(m+i) for i >= 1, and nothing multiplies m alone
+    return close(Polynomial.from_numerators([0] * n + [1]), [0, *row], den)
 
 
 class FactoredPowerSum(Record):

@@ -8,14 +8,15 @@ itself a polynomial of degree n+1.  The telescoping identity
 which holds for i = 0 too (the length-0 product is 1), shifts the
 rising-factorial weights (w_0, ..., w_n) of f one product up: g has the
 weights (0, w_0/1, w_1/2, ..., w_n/(n+1)).  sum_polynomial takes the weights
-of f from basis.to_rising_row as ints W_i over f's denominator D, reduces
-the pairs (W_i, D(i+1)) with poly.lowest_terms and assembles g with
-basis.from_rising_row.  The power sums need no shift: the paper's weights
-a_i already multiply the products m(m+1)...(m+i) (see powersum).
+of f from basis.to_rising_row as ints W_i over f's denominator D and reduces
+the pairs (W_i, D(i+1)) with poly.lowest_terms.  The power sums need no
+shift: the paper's weights a_i already multiply the products m(m+1)...(m+i)
+(see powersum).
 
-Every closed form has zero constant term (g is divisible by m).
-sum_polynomial checks two cheap invariants on every call, g(1) = f(1) and
-the leading coefficient lc(f)/(n+1).  The tests check the closed forms against
+Both routes end in close, the one step that assembles a closed form, by
+basis.from_rising_row, and checks it on the int rows: g(1) = f(1) and the
+leading term lc(f)/(n+1) m^(n+1).  Every closed form has zero constant term
+(g is divisible by m).  The tests check the closed forms against
 brute_force_sum in tests/reference.py, which does not ship in the package.
 """
 
@@ -59,23 +60,27 @@ class ClosedFormSum(Record):
 
 
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
-    """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f.
-
-    ArithmeticError unless g(1) = f(1) and, for f of degree n >= 0, g has
-    degree n+1 and leading coefficient lc(f)/(n+1).
-    """
+    """Closed form for sum_{x=1..m} f(x), for arbitrary polynomial f;
+    ArithmeticError from close if the closed form fails its checks."""
     row, d = to_rising_row(f), f.denominator
     shifted, den = lowest_terms(row, [d * i for i in range(1, len(row) + 1)])
+    return ClosedFormSum(close(f, shifted, den), max(f.degree, 0))
+
+
+def close(f: Polynomial, shifted: list[int], den: int) -> Polynomial:
+    """g with g(m) = f(1) + ... + f(m) from its weights shifted[i]/den on
+    m(m+1)...(m+i); ArithmeticError unless g(1) = f(1) and, for f of degree
+    n >= 0, g has degree n+1 and leading coefficient lc(f)/(n+1)."""
     g = from_rising_row([0, *shifted], den)
-    n = f.degree
-    if g(1) != f(1):
+    fn, gn, n = f.numerators, g.numerators, f.degree
+    if sum(gn) * f.denominator != sum(fn) * g.denominator:
         raise ArithmeticError(f"the closed form at m=1 is {g(1)}, not f(1) = {f(1)}")
-    if f and (g.degree != n + 1 or g.leading_coefficient * (n + 1) != f.leading_coefficient):
+    if fn and (g.degree != n + 1 or gn[-1] * (n + 1) * f.denominator != fn[-1] * g.denominator):
         raise ArithmeticError(
             f"the closed form's leading term {g.leading_coefficient}*m^{g.degree} "
             f"is not lc(f)/(n+1) * m^(n+1) for n={n}"
         )
-    return ClosedFormSum(g, max(n, 0))
+    return g
 
 
 def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:

@@ -144,6 +144,13 @@ def test_json_parse_error_carries_the_offset(capsys):
     assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n"), "offset": 5}
 
 
+def test_unclosed_parenthesis_is_usage_error(capsys):
+    message = "cannot parse --expr: expected ')', found end of input (byte 4)"
+    code, out, err = run_cli(capsys, "--json", "sum", "--expr", "(x+1")
+    assert (code, err) == (2, f"error: {message}\n")
+    assert json.loads(out) == {"error": message, "offset": 4}
+
+
 def test_json_usage_error_without_parse_has_no_offset(capsys):
     code, out, err = run_cli(capsys, "sum", "--expr", "x", "--lo", "1", "--json")
     assert code == 2
@@ -292,6 +299,41 @@ def test_verify_rejects_bad_bounds(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "all", "--max-n", "0")
     assert code == 2
     assert "--max-n" in err
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        (
+            ["closed-form", "--n", "0"],
+            "n must be >= 1; the n = 0 sum is m itself: polysum sum --expr 1",
+        ),
+        (["closed-form", "--n", "-3"], "n must be >= 1 (got -3)"),
+        (["closed-form", "--n", "1001"], "n must be <= 1000 (got 1001)"),
+        # --max-n is checked before --max-m, each lower bound before its upper
+        (
+            ["verify", "--suite", "all", "--max-n", "0", "--max-m", "0"],
+            "--max-n must be >= 1 (got 0)",
+        ),
+        (
+            ["verify", "--suite", "all", "--max-n", "301", "--max-m", "0"],
+            "--max-n must be <= 300 (got 301)",
+        ),
+        (
+            ["verify", "--suite", "oracle", "--max-n", "1", "--max-m", "0"],
+            "--max-m must be >= 1 (got 0)",
+        ),
+        (
+            ["verify", "--suite", "oracle", "--max-n", "1", "--max-m", "100001"],
+            "--max-m must be <= 100000 (got 100001)",
+        ),
+    ],
+)
+def test_range_errors_are_verbatim(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert (code, json.loads(out)) == (2, {"error": message})
 
 
 def test_brute_force_m_at_the_bound_runs(capsys):

@@ -333,6 +333,11 @@ def test_empty_input_rejected():
         parse("")
 
 
+def test_lower_takes_only_expression_nodes():
+    with pytest.raises(TypeError, match="not a PolyExpr node: 42"):
+        lower(42)
+
+
 def test_render_reparse_roundtrip():
     rng = random.Random(20240830)
     for _ in range(150):

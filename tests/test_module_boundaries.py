@@ -1,7 +1,7 @@
 """The check-only oracles live in tests/reference.py and do not ship in the
-package, no production module or CLI command imports them, the package exports
-only the production surface, and a one-shot CLI process imports only what its
-command runs."""
+package, no production module or CLI command imports them, only summation
+assembles closed forms, the package exports only the production surface, and a
+one-shot CLI process imports only what its command runs."""
 
 from __future__ import annotations
 
@@ -60,6 +60,17 @@ def test_no_module_imports_oracles():
     assert offenders == []
     assert not (SRC / "oracles.py").exists()
     assert importlib.util.find_spec("polysum.oracles") is None
+
+
+def test_only_summation_assembles_closed_forms():
+    # every closed form is assembled, and checked, by summation.close
+    importers = {
+        path.stem
+        for path in SRC.glob("*.py")
+        for name in imported_modules(ast.parse(path.read_text(encoding="utf-8")))
+        if name.split(".")[-1] == "from_rising_row"
+    }
+    assert importers == {"summation"}  # basis defines it
 
 
 def test_public_surface_is_the_production_names():

@@ -47,6 +47,26 @@ def test_eval_examples():
     assert Polynomial((5, 3, 2))(7) == 124  # 2*49 + 3*7 + 5, term-by-term
 
 
+@pytest.mark.parametrize("t", [0.5, "1/2"])
+def test_eval_takes_any_fraction_argument(t):
+    assert Polynomial((1, 2))(t) == 2
+
+
+@pytest.mark.parametrize(
+    "operation",
+    [
+        lambda p: p + 1,
+        lambda p: p - 1,
+        lambda p: p * None,
+        lambda p: None * p,
+        lambda p: p.divide_exact(3),
+    ],
+)
+def test_operations_with_a_non_polynomial_are_type_errors(operation):
+    with pytest.raises(TypeError):
+        operation(Polynomial((1, 2)))
+
+
 def test_divide_exact_examples():
     q, r = Polynomial((0, 1, 1)).divide_exact(X)
     assert (q, r) == (Polynomial((1, 1)), Polynomial())

@@ -9,6 +9,7 @@ import pytest
 from polysum import powersum
 from polysum.poly import Polynomial
 from polysum.powersum import (
+    FactoredPowerSum,
     coefficients,
     power_sum_closed_form,
     power_sum_factored_form,
@@ -81,18 +82,19 @@ def test_coefficients_check_the_closing_value(monkeypatch):
 
 
 def test_closed_form_checks_the_leading_coefficient(monkeypatch):
-    # the weights a_i pass their own check; the assembled polynomial gains m^(n+1)
-    import polysum.powersum as powersum_module
+    # the weights a_i pass their own check; the assembled polynomial gains
+    # m^(n+1), which moves S_n(1) too, so summation.close's m=1 check fires first
+    import polysum.summation as summation_module
 
-    real = powersum_module.from_rising_row
+    real = summation_module.from_rising_row
     monkeypatch.setattr(
-        powersum_module,
+        summation_module,
         "from_rising_row",
         lambda row, den: real(row, den) + Polynomial.monomial(1, len(row) - 1),
     )
     power_sum_closed_form.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="leading coefficient"):
+        with pytest.raises(ArithmeticError, match="m=1"):
             power_sum_closed_form(4)
     finally:
         power_sum_closed_form.cache_clear()
@@ -138,6 +140,17 @@ def test_closed_form_agrees_with_general_summation():
 def test_factored_form_requires_three():
     with pytest.raises(ValueError):
         power_sum_factored_form(2)
+
+
+def test_factored_render_skips_a_zero_coefficient():
+    form = FactoredPowerSum(
+        n=4,
+        sign=1,
+        prefactor=M_TIMES_M_PLUS_1,
+        inner_constant=Fraction(-1, 2),
+        inner_coeffs=((2, Fraction(0)), (3, Fraction(1, 5)), (4, Fraction(-1, 5))),
+    )
+    assert form.render() == "m*(m+1)*(-1/2 + 1/5*(m+2)*(m+3) - 1/5*(m+2)*(m+3)*(m+4))"
 
 
 def test_factored_form_cubic():

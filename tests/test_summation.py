@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_polynomial
 from polysum.poly import Polynomial
+from polysum.powersum import power_sum_closed_form
 from polysum.summation import sum_polynomial, sum_range
 from reference import brute_force_sum, rising_factorial_basis_poly, sum_rising_factorial
 
@@ -163,7 +164,9 @@ def test_telescoping():
             assert g(m) - g(m - 1) == f(m)
 
 
-@pytest.mark.parametrize(
+# Both routes close through summation.close, so the same three tampers with
+# its assembly must trip its checks on each.
+TAMPERS = pytest.mark.parametrize(
     ("tamper", "message"),
     [
         # one more at every m: g(1) is off, the leading term is not
@@ -173,11 +176,29 @@ def test_telescoping():
         (lambda g: g + Polynomial.monomial(1, g.degree + 1) - X, "leading term"),
     ],
 )
-def test_sum_polynomial_checks_its_invariants(monkeypatch, tamper, message):
+
+
+def tamper_with_assembly(monkeypatch, tamper):
     import polysum.summation as summation_module
 
     real = summation_module.from_rising_row
     monkeypatch.setattr(summation_module, "from_rising_row", lambda row, den: tamper(real(row, den)))
+
+
+@TAMPERS
+def test_sum_polynomial_checks_its_invariants(monkeypatch, tamper, message):
+    tamper_with_assembly(monkeypatch, tamper)
     f = Polynomial((Fraction(1, 3), -2, 0, 5))
     with pytest.raises(ArithmeticError, match=message):
         sum_polynomial(f)
+
+
+@TAMPERS
+def test_power_sum_closed_form_checks_its_invariants(monkeypatch, tamper, message):
+    tamper_with_assembly(monkeypatch, tamper)
+    power_sum_closed_form.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=message):
+            power_sum_closed_form(4)
+    finally:
+        power_sum_closed_form.cache_clear()
