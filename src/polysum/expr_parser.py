@@ -21,15 +21,14 @@ factors as one Mul.  Implicit multiplication is accepted between a literal
 and a variable or parenthesis ("3x", "2(x+1)").  Whitespace is insignificant.
 Exactly one variable may appear; the first identifier fixes its name.
 
-Syntax errors raise ParseError carrying the byte offset into the UTF-8
-encoding of the source.  Parsed trees are shallow (see MAX_NESTING), so
-lower and evaluate in tests/reference.py (not shipped) recurse once per level.
+Syntax errors raise ParseError with the byte offset into the UTF-8 encoding
+of the source, counted only when raised.  Trees are shallow (see MAX_NESTING),
+so lower and evaluate in tests/reference.py (not shipped) recurse once a level.
 """
 
 from __future__ import annotations
 
 import sys
-from collections import namedtuple
 from fractions import Fraction
 
 from .poly import Polynomial, Record, add_all
@@ -55,11 +54,12 @@ __all__ = [
 # CLI builds a power-sum closed form for.
 MAX_DEGREE = 1000
 
-# Most '(' and unary '-' the parser lets stand open at once.  A '(' costs the
-# recursive descent at most five stack frames, and a root-to-leaf path in the
-# tree five levels (Pow, Add, the Neg of a '-', Mul, implicit Mul); a unary '-'
-# costs one Neg.  With six more at the innermost level, a parsed tree is at
-# most 506 levels deep: inside Python's default recursion limit of 1000.
+# Most '(' and unary '-' the parser lets stand open at once.  In the recursive
+# descent a '(' costs at most four stack frames (_expr, _term, and a _factor for
+# the '(' and for a literal before it, as in "2("), and a unary '-' one _factor.
+# In the tree a '(' costs five levels (Pow, Add, the Neg of a '-', Mul, implicit
+# Mul) and a unary '-' one Neg; with six more at the innermost level, a tree is
+# at most 506 levels deep: inside Python's default recursion limit of 1000.
 MAX_NESTING = 100
 
 
@@ -111,20 +111,23 @@ _PUNCT = {"+", "-", "*", "^", "(", ")"}
 _DIGITS = frozenset("0123456789")
 
 
-# kind: "int", "rational", "ident", one of _PUNCT, or "eof";
-# offset: the byte offset into the UTF-8 source
-_Token = namedtuple("_Token", ("kind", "text", "offset"))
-
-
-def _tokenize(src: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i = 0
-    byte_pos = 0
-    n = len(src)
+def _tokenize(src: str) -> tuple[list[str], list[str], list[int]]:
+    """The tokens of src as three parallel lists: kinds ("int", "rational",
+    "ident" or one of _PUNCT), texts and character start indices, closed by
+    an "eof" token at len(src).  Whitespace makes no token."""
+    kinds: list[str] = []
+    texts: list[str] = []
+    starts: list[int] = []
+    i, n = 0, len(src)
     while i < n:
         ch = src[i]
         j = i + 1
-        kind = ch  # punctuation is its own kind; whitespace makes no token
+        if ch in _PUNCT:  # its own kind
+            kinds.append(ch)
+            texts.append(ch)
+            starts.append(i)
+            i = j
+            continue
         if ch in _DIGITS:
             while j < n and src[j] in _DIGITS:
                 j += 1
@@ -139,15 +142,19 @@ def _tokenize(src: str) -> list[_Token]:
             while j < n and src[j].isalpha():
                 j += 1
             kind = "ident"
-        elif ch not in _PUNCT and not ch.isspace():
-            raise ParseError(f"unexpected character {ch!r}", byte_pos)
-        text = src[i:j]
-        if not ch.isspace():
-            tokens.append(_Token(kind, text, byte_pos))
-        byte_pos += len(text.encode())  # UTF-8
+        elif ch.isspace():
+            i = j
+            continue
+        else:  # src[:i] is readable: its characters all made tokens or whitespace
+            raise ParseError(f"unexpected character {ch!r}", len(src[:i].encode()))
+        kinds.append(kind)
+        texts.append(src[i:j])
+        starts.append(i)
         i = j
-    tokens.append(_Token("eof", "", byte_pos))
-    return tokens
+    kinds.append("eof")
+    texts.append("")
+    starts.append(n)
+    return kinds, texts, starts
 
 
 # ---------------------------------------------------------------------------
@@ -155,30 +162,26 @@ def _tokenize(src: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self._tokens = tokens
-        self._index = 0
+    def __init__(self, src: str):
+        self._src = src
+        self._kinds, self._texts, self._starts = _tokenize(src)
+        self._tokens = enumerate(self._kinds)  # next() gives the next index and kind
+        self._index, self._kind = next(self._tokens)  # the current token
         self._var_name: str | None = None
         self._depth = 0  # '(' and unary '-' open at the current token
 
-    @property
-    def _token(self) -> _Token:
-        return self._tokens[self._index]
+    def _error(self, message: str, at: int) -> ParseError:
+        """A ParseError at token index at, its byte offset counted only now."""
+        return ParseError(message, len(self._src[: self._starts[at]].encode()))
 
-    def _advance(self) -> _Token:
-        tok = self._token
-        self._index += 1
-        return tok
-
-    def _error(self, expected: str) -> ParseError:
-        tok = self._token
-        found = "end of input" if tok.kind == "eof" else repr(tok.text)
-        return ParseError(f"expected {expected}, found {found}", tok.offset)
+    def _expected(self, expected: str) -> ParseError:
+        found = "end of input" if self._kind == "eof" else repr(self._texts[self._index])
+        return self._error(f"expected {expected}, found {found}", self._index)
 
     def parse(self) -> PolyExpr:
         result, _ = self._expr()
-        if self._token.kind != "eof":
-            raise self._error("end of input")
+        if self._kind != "eof":
+            raise self._expected("end of input")
         return result
 
     # Each production returns its node and the node's degree bound.
@@ -186,8 +189,9 @@ class _Parser:
     def _expr(self) -> tuple[PolyExpr, int]:
         node, degree = self._term()
         terms = [node]
-        while self._token.kind in ("+", "-"):
-            op = self._advance().kind
+        while self._kind in ("+", "-"):
+            op = self._kind
+            self._index, self._kind = next(self._tokens)
             rhs, rhs_degree = self._term()
             terms.append(rhs if op == "+" else Neg(rhs))
             degree = max(degree, rhs_degree)
@@ -196,135 +200,131 @@ class _Parser:
     def _term(self) -> tuple[PolyExpr, int]:
         node, degree = self._factor()
         factors = [node]
-        while self._token.kind == "*":
-            tok = self._advance()
+        while self._kind == "*":
+            at = self._index
+            self._index, self._kind = next(self._tokens)
             rhs, rhs_degree = self._factor()
             factors.append(rhs)
-            degree = _bounded(degree + rhs_degree, tok)
+            degree = self._bounded(degree + rhs_degree, at)
         return (Mul(tuple(factors)) if len(factors) > 1 else node), degree
 
     def _factor(self) -> tuple[PolyExpr, int]:
-        negations = 0
-        while self._token.kind == "-":
-            self._nest(self._advance())
-            negations += 1
-        node, degree = self._atom()
-        self._depth -= negations
-        for _ in range(negations):
-            node = Neg(node)
-        return node, degree
-
-    def _atom(self) -> tuple[PolyExpr, int]:
-        tok = self._token
-        if tok.kind in ("int", "rational"):
-            self._advance()
-            node: PolyExpr = Lit(self._literal_value(tok))
+        kind = self._kind
+        at = self._index
+        if kind == "-":  # binds looser than '^': -x^2 is -(x^2)
+            self._nest()
+            node, degree = self._factor()
+            self._depth -= 1
+            return Neg(node), degree
+        if kind == "int" or kind == "rational":
+            self._index, self._kind = next(self._tokens)
+            node: PolyExpr = Lit(self._literal_value(at))
             # implicit multiplication: literal directly before a variable
             # or parenthesis, as in "3x" or "2(x+1)"; a literal adds no degree
-            if self._token.kind in ("ident", "("):
-                rhs, degree = self._atom()
+            if self._kind in ("ident", "("):
+                rhs, degree = self._factor()
                 return Mul((node, rhs)), degree
-            return self._power_suffix(node, 0)
-        if tok.kind == "ident":
-            self._advance()
+            degree = 0
+        elif kind == "ident":
+            self._index, self._kind = next(self._tokens)
+            name = self._texts[at]
             if self._var_name is None:
-                self._var_name = tok.text
-            elif tok.text != self._var_name:
-                raise ParseError(
-                    f"second variable {tok.text!r} after {self._var_name!r}; "
+                self._var_name = name
+            elif name != self._var_name:
+                raise self._error(
+                    f"second variable {name!r} after {self._var_name!r}; "
                     "only one variable is allowed",
-                    tok.offset,
+                    at,
                 )
-            return self._power_suffix(Var(tok.text), 1)
-        if tok.kind == "(":
-            self._nest(self._advance())
+            node, degree = Var(name), 1
+        elif kind == "(":
+            self._nest()
             node, degree = self._expr()
-            if self._token.kind != ")":
-                raise self._error("')'")
-            self._advance()
+            if self._kind != ")":
+                raise self._expected("')'")
+            self._index, self._kind = next(self._tokens)
             self._depth -= 1
-            return self._power_suffix(node, degree)
-        raise self._error("a number, a variable, or '('")
-
-    def _nest(self, tok: _Token) -> None:
-        """Open one more level of nesting at tok, a '(' or a unary '-'."""
-        if self._depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than the maximum of {MAX_NESTING}", tok.offset)
-        self._depth += 1
-
-    def _power_suffix(self, base: PolyExpr, degree: int) -> tuple[PolyExpr, int]:
-        if self._token.kind != "^":
-            return base, degree
-        self._advance()
-        tok = self._token
+        else:
+            raise self._expected("a number, a variable, or '('")
+        if self._kind != "^":
+            return node, degree
+        self._index, self._kind = next(self._tokens)
+        at = self._index
         exponent = self._exponent_chain()
-        return Pow(base, exponent), _bounded(degree * exponent, tok)
+        return Pow(node, exponent), self._bounded(degree * exponent, at)
+
+    def _nest(self) -> None:
+        """Open one more level of nesting at a '(' or unary '-', and step past it."""
+        if self._depth == MAX_NESTING:
+            raise self._error(f"nesting deeper than the maximum of {MAX_NESTING}", self._index)
+        self._depth += 1
+        self._index, self._kind = next(self._tokens)
 
     def _exponent_chain(self) -> int:
         """One or more '^'-separated integer literals, read in a loop and folded
         right to left (x^2^3 = x^(2^3)).  A literal or fold past MAX_DEGREE is
         an error at its token, so no fold exceeds MAX_DEGREE ** MAX_DEGREE."""
-        chain: list[tuple[int, _Token]] = []
+        first = self._index  # chain literal k is token first + 2k
+        chain: list[int] = []
         while True:
-            tok = self._token
-            if tok.kind == "-":
-                raise ParseError("negative exponents are not supported", tok.offset)
-            if tok.kind == "rational":
-                raise ParseError(
-                    f"exponent must be a literal nonnegative integer, got rational {tok.text!r}",
-                    tok.offset,
+            at = self._index
+            text = self._texts[at]
+            if self._kind == "-":
+                raise self._error("negative exponents are not supported", at)
+            if self._kind == "rational":
+                raise self._error(
+                    f"exponent must be a literal nonnegative integer, got rational {text!r}", at
                 )
-            if tok.kind != "int":
-                raise self._error("a literal nonnegative integer exponent")
-            self._advance()
-            value = _int(tok.text, tok.offset)
+            if self._kind != "int":
+                raise self._expected("a literal nonnegative integer exponent")
+            self._index, self._kind = next(self._tokens)
+            value = self._int(text, at)
             if value > MAX_DEGREE:
-                raise ParseError(f"exponent exceeds the maximum degree {MAX_DEGREE}", tok.offset)
-            chain.append((value, tok))
-            if self._token.kind != "^":
+                raise self._error(f"exponent exceeds the maximum degree {MAX_DEGREE}", at)
+            chain.append(value)
+            if self._kind != "^":
                 break
-            self._advance()
-        value = chain.pop()[0]
-        for base, tok in reversed(chain):
-            value = base**value
+            self._index, self._kind = next(self._tokens)
+        value = chain.pop()
+        while chain:
+            value = chain.pop() ** value
             if value > MAX_DEGREE:
-                raise ParseError(f"exponent exceeds the maximum degree {MAX_DEGREE}", tok.offset)
+                raise self._error(
+                    f"exponent exceeds the maximum degree {MAX_DEGREE}", first + 2 * len(chain)
+                )
         return value
 
-    @staticmethod
-    def _literal_value(tok: _Token) -> Fraction:
-        if tok.kind == "int":
-            return Fraction(_int(tok.text, tok.offset))
-        num, den = (_int(part, tok.offset) for part in tok.text.split("/"))
+    def _literal_value(self, at: int) -> Fraction:
+        text = self._texts[at]
+        if self._kinds[at] == "int":
+            return Fraction(self._int(text, at))
+        num, den = text.split("/")
+        num, den = self._int(num, at), self._int(den, at)
         if den == 0:
-            raise ParseError(f"zero denominator in rational literal {tok.text!r}", tok.offset)
+            raise self._error(f"zero denominator in rational literal {text!r}", at)
         return Fraction(num, den)
 
+    def _bounded(self, degree: int, at: int) -> int:
+        """degree, or a ParseError at token index at if it exceeds MAX_DEGREE."""
+        if degree > MAX_DEGREE:
+            raise self._error(f"degree bound {degree} exceeds the maximum degree {MAX_DEGREE}", at)
+        return degree
 
-def _bounded(degree: int, tok: _Token) -> int:
-    """degree, or a ParseError at tok if it exceeds MAX_DEGREE."""
-    if degree > MAX_DEGREE:
-        raise ParseError(
-            f"degree bound {degree} exceeds the maximum degree {MAX_DEGREE}", tok.offset
-        )
-    return degree
-
-
-def _int(digits: str, offset: int) -> int:
-    """int() of a digit token; past Python's int-string limit, a ParseError."""
-    try:
-        return int(digits)
-    except ValueError:
-        raise ParseError(
-            f"integer literal of {len(digits)} digits exceeds Python's limit of "
-            f"{sys.get_int_max_str_digits()} digits",
-            offset,
-        ) from None
+    def _int(self, digits: str, at: int) -> int:
+        """int() of the digits of token at; past Python's int-string limit, a ParseError."""
+        try:
+            return int(digits)
+        except ValueError:
+            raise self._error(
+                f"integer literal of {len(digits)} digits exceeds Python's limit of "
+                f"{sys.get_int_max_str_digits()} digits",
+                at,
+            ) from None
 
 
 def parse(src: str) -> PolyExpr:
     """Parse source text into an expression tree."""
-    return _Parser(_tokenize(src)).parse()
+    return _Parser(src).parse()
 
 
 _X = Polynomial.from_numerators((0, 1))

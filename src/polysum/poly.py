@@ -119,7 +119,8 @@ class Polynomial(Record):
     def monomial(cls, coeff: Scalar, power: int) -> Polynomial:
         if power < 0:
             raise ValueError(f"monomial power must be >= 0 (got {power})")
-        return cls((0,) * power + (coeff,))
+        c = coeff if isinstance(coeff, int) else Fraction(coeff)
+        return _canonical([0] * power + [c.numerator], c.denominator)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

@@ -151,6 +151,25 @@ def test_unclosed_parenthesis_is_usage_error(capsys):
     assert json.loads(out) == {"error": message, "offset": 4}
 
 
+def test_undecodable_argv_byte_is_usage_error(capsys):
+    # os.fsdecode turns the argv byte 0xff into the lone surrogate U+DCFF
+    message = "cannot parse --expr: unexpected character '\\udcff' (byte 5)"
+    code, out, err = run_cli(capsys, "--json", "sum", "--expr", "é + \udcff")
+    assert (code, err) == (2, f"error: {message}\n")
+    assert json.loads(out) == {"error": message, "offset": 5}
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="argv is passed as bytes on POSIX only")
+def test_undecodable_argv_byte_in_a_fresh_process():
+    result = subprocess.run(
+        [sys.executable, "-m", "polysum", "--json", "sum", "--expr", "é + ".encode() + b"\xff"],
+        capture_output=True,
+        timeout=30,
+    )
+    assert result.returncode == 2
+    assert json.loads(result.stdout)["offset"] == 5
+
+
 def test_json_usage_error_without_parse_has_no_offset(capsys):
     code, out, err = run_cli(capsys, "sum", "--expr", "x", "--lo", "1", "--json")
     assert code == 2

@@ -6,7 +6,8 @@ with the shapes that once overflowed the stack: deep nests, long '+', '-'
 and '*' chains, runs of unary minuses and long exponent chains.  Numbers
 stay small so that a legal command does little work; the bounds on n and m
 are exercised just past their limits.  The run is derandomized, so every
-run tries the same examples.
+run tries the same examples.  The same expressions check that leading
+whitespace moves nothing but the offset of a parse error.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from datetime import timedelta
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polysum.cli import main
+from polysum.expr_parser import ParseError, parse
 
 # small sizes, and sizes at, around and far past the nesting bound of 100
 sizes = st.one_of(st.integers(0, 30), st.sampled_from([99, 100, 101, 300, 1000, 5000, 20000]))
@@ -100,3 +102,29 @@ def test_main_exits_cleanly_on_any_input(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
+
+
+def parsed(src: str):
+    """The tree of src, or its ParseError's message without the offset and
+    the offset."""
+    try:
+        return parse(src)
+    except ParseError as e:
+        return str(e).rsplit(" (byte ", 1)[0], e.offset
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=timedelta(seconds=3),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(expressions, st.integers(0, 5))
+def test_leading_whitespace_shifts_only_the_offset(src, r):
+    # U+3000 IDEOGRAPHIC SPACE is 3 UTF-8 bytes
+    plain, shifted = parsed(src), parsed("\u3000" * r + src)
+    if isinstance(plain, tuple):
+        assert shifted == (plain[0], plain[1] + 3 * r)
+    else:
+        assert shifted == plain

@@ -149,12 +149,53 @@ def test_only_ascii_digits_are_digits(src, offset):
 
 # one digit more than Python's int-string limit (4300 by default); 0 means no limit
 TOO_MANY_DIGITS = "1" * (sys.get_int_max_str_digits() + 1)
+NBSP, IDEOGRAPHIC_SPACE = "\u00a0", "\u3000"  # whitespace of 2 and 3 UTF-8 bytes
+
+
+# One case per place that raises a ParseError, each behind a multibyte prefix
+# ("é" is a two-byte variable name), so that an offset counted in characters,
+# or taken from the wrong token, shows.
+@pytest.mark.parametrize(
+    ("src", "offset", "message"),
+    [
+        pytest.param(IDEOGRAPHIC_SPACE + "x % 2", 5, "unexpected character '%'", id="character"),
+        # argv decoding turns the byte 0xff into a lone surrogate, which has no
+        # UTF-8 encoding: no offset may be counted past it
+        pytest.param("é + \udcff", 5, "unexpected character '\\udcff'", id="undecodable"),
+        pytest.param(NBSP + "(x+1 2", 7, "expected ')', found '2'", id="missing-paren"),
+        pytest.param("é +", 4, "found end of input", id="end-of-input"),
+        pytest.param(IDEOGRAPHIC_SPACE + "x)", 4, "expected end of input, found ')'", id="leftover"),
+        pytest.param(NBSP + "x + é", 6, "second variable 'é' after 'x'", id="second-variable"),
+        pytest.param("é*" + "(" * 101 + "é" + ")" * 101, 103, "maximum of 100", id="nesting"),
+        pytest.param(IDEOGRAPHIC_SPACE + "x^-2", 5, "negative exponent", id="negative-exponent"),
+        pytest.param("é ^ 1/2", 5, "got rational '1/2'", id="rational-exponent"),
+        pytest.param(IDEOGRAPHIC_SPACE + "x^1001", 5, "exponent exceeds", id="exponent-literal"),
+        pytest.param("é ^ 9 ^ 9 ^ 9", 9, "exponent exceeds", id="exponent-fold"),
+        pytest.param(IDEOGRAPHIC_SPACE + "x^600 * x^600", 9, "degree bound 1200", id="degree-at-mul"),
+        pytest.param(NBSP + "(x^100)^100", 10, "degree bound 10000", id="degree-at-pow"),
+        pytest.param("é + 3/0", 5, "zero denominator in rational literal '3/0'", id="zero-den"),
+    ],
+)
+def test_every_raise_site_reports_the_byte_offset(src, offset, message):
+    with pytest.raises(ParseError) as excinfo:
+        parse(src)
+    assert excinfo.value.offset == offset
+    assert message in str(excinfo.value)
+    assert str(excinfo.value).endswith(f"(byte {offset})")
 
 
 @pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int-string limit disabled")
 @pytest.mark.parametrize(
     ("src", "offset"),
-    [(TOO_MANY_DIGITS + "x", 0), ("x^" + TOO_MANY_DIGITS, 2), ("x + 1/" + TOO_MANY_DIGITS, 4)],
+    [
+        (TOO_MANY_DIGITS + "x", 0),
+        ("x^" + TOO_MANY_DIGITS, 2),
+        ("x + 1/" + TOO_MANY_DIGITS, 4),
+        # behind multibyte prefixes: an int, a numerator and a denominator
+        (IDEOGRAPHIC_SPACE + TOO_MANY_DIGITS + "x", 3),
+        ("é + " + TOO_MANY_DIGITS + "/2", 5),
+        (NBSP + "é + 1/" + TOO_MANY_DIGITS, 7),
+    ],
 )
 def test_overlong_integer_literal_is_parse_error(src, offset):
     with pytest.raises(ParseError) as excinfo:

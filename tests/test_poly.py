@@ -191,3 +191,15 @@ def test_constant_and_monomial_constructors():
     assert Polynomial.monomial(2, 3) == Polynomial((0, 0, 0, 2))
     with pytest.raises(ValueError):
         Polynomial.monomial(1, -1)
+
+
+@pytest.mark.parametrize("power", [0, 1, 1000])
+@pytest.mark.parametrize(
+    ("coeff", "numerator", "denominator"),
+    [(-7, -7, 1), (Fraction(6, -4), -3, 2), ("1/2", 1, 2), (0, 0, 1)],
+)
+def test_monomial_is_the_int_row(coeff, numerator, denominator, power):
+    expected = Polynomial.from_numerators([0] * power + [numerator], denominator)
+    p = Polynomial.monomial(coeff, power)
+    assert p == expected
+    assert p == Polynomial((0,) * power + (coeff,))  # the general constructor agrees
