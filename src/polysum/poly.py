@@ -299,28 +299,11 @@ class Polynomial(Record):
         return quotient, remainder
 
     def render(self, var: str = "m") -> str:
-        """Canonical display form: terms in descending power, exact rational
-        coefficients, e.g. "1/3*m^3 + 1/2*m^2 + 1/6*m".
-
-        Unit coefficients are not printed ("m^2", "-m").  Up to degree 1000,
-        expr_parser's MAX_DEGREE, the output parses back to an equal polynomial.
-        """
-        if not self.numerators:
-            return "0"
-        parts: list[tuple[bool, str]] = []
-        coeffs = self.coeffs
-        for power in range(len(coeffs) - 1, -1, -1):
-            c = coeffs[power]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if power == 0:
-                body = str(mag)
-            else:
-                sym = var if power == 1 else f"{var}^{power}"
-                body = sym if mag == 1 else f"{mag}*{sym}"
-            parts.append((c < 0, body))
-        return join_signed(parts)
+        """Canonical display form, the terms by join_terms from the top power
+        down, e.g. "1/3*m^3 + 1/2*m^2 + 1/6*m".  Up to degree 1000,
+        expr_parser's MAX_DEGREE, the output parses back to an equal polynomial."""
+        powers = ["", var, *[f"{var}^{k}" for k in range(2, len(self.numerators))]]
+        return join_terms(list(zip(self.coeffs, powers))[::-1])
 
 
 def over_common_denominator(xs: Sequence[Fraction | int]) -> tuple[list[int], int]:
@@ -438,9 +421,17 @@ def _pack(row: Sequence[int], width: int) -> int:
 ONE = Polynomial((1,))
 
 
-def join_signed(parts: list[tuple[bool, str]]) -> str:
-    """Join (negative, body) terms as "a + b - c", or "-a + b" when the first is negative."""
-    text = ("-" if parts[0][0] else "") + parts[0][1]
-    for negative, body in parts[1:]:
-        text += (" - " if negative else " + ") + body
-    return text
+def join_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
+    """The (c, factor) terms as "a + b - c", or "-a + b", or "0" if none is
+    left: a zero c is left out, factor "" prints c, |c| = 1 prints factor alone,
+    and any other term prints c*factor."""
+    parts = []
+    for c, factor in terms:
+        if c:
+            mag = abs(c)
+            parts.append(" - " if c < 0 else " + ")
+            parts.append(f"{mag}*{factor}" if factor and mag != 1 else factor or str(mag))
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)

@@ -9,12 +9,12 @@ Both forms are the paper's formula, which needs no Bernoulli numbers:
 where the inner sum is (-1)^i S(n,i), S the Stirling numbers of the second
 kind.  i! times the inner sums are basis.alternating_sums of the values k^n,
 k = 0..n; _weights puts them over (i+1)! as one int row over one
-denominator and checks the closing value a_n = (-1)^n/(n+1) on every call.
-coefficients(n) makes that row Fractions.  power_sum_closed_form hands the
-row, signed by (-1)^n, to summation.close, the step that assembles and checks
-every closed form, here with f = m^n: S_n(1) = 1 and the leading coefficient
-1/(n+1).  For n >= 3 the common factor m(m+1) can be pulled out, giving the
-factored form
+denominator and checks, on every call, a_n = (-1)^n/(n+1) and S_n(1) = 1,
+which is (-1)^n sum a_i (i+1)!.  coefficients(n) makes that row Fractions,
+for the factored form too.  power_sum_closed_form hands the row, signed by
+(-1)^n, to summation.close, the step that assembles and checks every closed
+form, here with f = m^n: S_n(1) = 1 and the leading coefficient 1/(n+1).
+For n >= 3 the common factor m(m+1) can be pulled out, giving the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
 
@@ -30,7 +30,7 @@ from itertools import accumulate
 from operator import mul
 
 from .basis import alternating_sums
-from .poly import ONE, Polynomial, Record, join_signed, lowest_terms
+from .poly import ONE, Polynomial, Record, join_terms, lowest_terms
 from .summation import close
 
 __all__ = [
@@ -61,13 +61,15 @@ class PowerSumCoefficients(Record):
 
 def _weights(n: int) -> tuple[list[int], int]:
     """a_1..a_n for the exponent n, each by the defining sum, as one int row
-    over one denominator; ArithmeticError unless a_n is (-1)^n/(n+1)."""
+    over one denominator; ArithmeticError unless a_n = (-1)^n/(n+1), S_n(1) = 1."""
     if n < 1:
         raise ValueError(f"exponent must be >= 1 (got {n})")
     _, *sums = alternating_sums([k**n for k in range(n + 1)])
     row, den = lowest_terms(sums, list(accumulate(range(2, n + 2), mul)))  # over (i+1)!
     if row[-1] * (n + 1) != (-den if n % 2 else den):
         raise ArithmeticError(f"a_n disagrees with (-1)^n/(n+1) for n={n}: {row[-1]}/{den}")
+    if sum(sums) != (-1) ** n:  # S_n(1) = (-1)^n sum a_i (i+1)!, and a_i (i+1)! is sums[i-1]
+        raise ArithmeticError(f"the a_i give S_n(1) = {(-1) ** n * sum(sums)}, not 1, for n={n}")
     return row, den
 
 
@@ -113,18 +115,10 @@ class FactoredPowerSum(Record):
     def render(self, var: str = "m") -> str:
         """Display form keeping the factored structure, e.g. for n=3:
         -m*(m+1)*(-1/2 + (m+2) - 1/4*(m+2)*(m+3))."""
-        parts: list[tuple[bool, str]] = [
-            (self.inner_constant < 0, str(abs(self.inner_constant)))
-        ]
-        for i, c in self.inner_coeffs:
-            if c == 0:
-                continue
-            product = "*".join(f"({var}+{off})" for off in range(2, i + 1))
-            mag = abs(c)
-            body = product if mag == 1 else f"{mag}*{product}"
-            parts.append((c < 0, body))
+        factors = [f"({var}+{k})" for k in range(2, self.n + 1)]
+        terms = [(c, "*".join(factors[: i - 1])) for i, c in self.inner_coeffs]
         sign = "-" if self.sign < 0 else ""
-        return f"{sign}{var}*({var}+1)*({join_signed(parts)})"
+        return f"{sign}{var}*({var}+1)*({join_terms([(self.inner_constant, ''), *terms])})"
 
 
 def power_sum_factored_form(n: int) -> FactoredPowerSum:
@@ -132,13 +126,13 @@ def power_sum_factored_form(n: int) -> FactoredPowerSum:
     there is no inner sum to factor)."""
     if n < 3:
         raise ValueError(f"factored form requires n >= 3 (got {n})")
-    a = coefficients(n)
+    a_1, *rest = coefficients(n).coeffs
     return FactoredPowerSum(
         n=n,
         sign=-1 if n % 2 else 1,
         prefactor=Polynomial((0, 1, 1)),  # m*(m+1)
-        inner_constant=Fraction(-1, 2),
-        inner_coeffs=tuple((i, a.coefficient(i)) for i in range(2, n + 1)),
+        inner_constant=a_1,
+        inner_coeffs=tuple(enumerate(rest, start=2)),
     )
 
 

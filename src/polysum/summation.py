@@ -88,8 +88,11 @@ def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:
 
     For lo >= 1 this is the plain closed-form difference; bounds at or
     below zero are evaluated by polynomial extension of g, an extension of
-    the 1..m semantics.
+    the 1..m semantics.  TypeError unless both bounds are ints.
     """
+    for name, bound in (("lo", lo), ("hi", hi)):
+        if not isinstance(bound, int):
+            raise TypeError(f"{name} must be an int (got {type(bound).__name__})")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     g = sum_polynomial(f).poly

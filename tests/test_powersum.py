@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from polysum import powersum
+from polysum.expr_parser import parse_polynomial
 from polysum.poly import Polynomial
 from polysum.powersum import (
     FactoredPowerSum,
@@ -77,6 +78,29 @@ def test_coefficients_check_the_closing_value(monkeypatch):
     try:
         with pytest.raises(ArithmeticError, match="a_n disagrees"):
             power_sum_closed_form(4)
+    finally:
+        power_sum_closed_form.cache_clear()
+
+
+def test_weights_check_the_value_at_one(monkeypatch):
+    # bump one middle alternating sum: a_n still passes, but S_n(1) = (-1)^n
+    # sum a_i (i+1)! is off by one, so every form built from the row raises
+    real = powersum.alternating_sums
+
+    def bumped(values):
+        sums = real(values)
+        sums[3] += 1
+        return sums
+
+    monkeypatch.setattr(powersum, "alternating_sums", bumped)
+    with pytest.raises(ArithmeticError, match=r"S_n\(1\) = 0, not 1, for n=5"):
+        coefficients(5)
+    with pytest.raises(ArithmeticError, match=r"S_n\(1\)"):
+        power_sum_factored_form(5)
+    power_sum_closed_form.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match=r"S_n\(1\)"):
+            power_sum_closed_form(5)
     finally:
         power_sum_closed_form.cache_clear()
 
@@ -170,6 +194,11 @@ def test_factored_form_quartic_value():
 def test_factored_form_expands_to_closed_form():
     for n in range(3, 16):
         assert power_sum_factored_form(n).expand() == power_sum_closed_form(n)
+
+
+def test_printed_factored_form_parses_to_the_closed_form():
+    for n in range(3, 61):
+        assert parse_polynomial(power_sum_factored_form(n).render("x")) == power_sum_closed_form(n)
 
 
 def test_power_sum_value_examples():

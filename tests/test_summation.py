@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_polynomial
+from polysum import summation
 from polysum.poly import Polynomial
 from polysum.powersum import power_sum_closed_form
 from polysum.summation import sum_polynomial, sum_range
@@ -110,6 +111,24 @@ def test_sum_range_examples():
 def test_sum_range_rejects_empty_range():
     with pytest.raises(ValueError):
         sum_range(X, 3, 2)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, name",
+    [(1.5, 3, "lo"), (Fraction(3, 2), 3, "lo"), (1, 3.5, "hi"), (1, Fraction(7, 2), "hi"),
+     (4.0, 3, "lo"), (4, Fraction(3), "hi")],
+    ids=["float-lo", "fraction-lo", "float-hi", "fraction-hi", "float-lo-above-hi",
+         "fraction-hi-below-lo"],
+)
+def test_sum_range_takes_only_int_bounds(lo, hi, name, monkeypatch):
+    # at a non-int bound g(hi) - g(lo - 1) is a polynomial value, not a sum;
+    # the type is checked before the empty-range check and before any work
+    def no_sum(f):
+        raise AssertionError("a non-int bound reached the closed form")
+
+    monkeypatch.setattr(summation, "sum_polynomial", no_sum)
+    with pytest.raises(TypeError, match=f"{name} must be an int"):
+        sum_range(X_SQUARED, lo, hi)
 
 
 def test_sum_range_extends_below_one():
