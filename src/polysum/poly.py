@@ -21,8 +21,10 @@ before it by exact divisions, and shifts the result by k*e over the
 denominator to the e.
 
 A product first strips each factor's run of low-order zero coefficients and
-shifts the result back afterwards, so x^k and c*x^k are one-term rows.  If a
-factor is then one term, the product is a scaling.  Otherwise it is one
+shifts the result back afterwards, so x^k and c*x^k are one-term rows.  The
+shorter factor then picks the rule.  One term is a scaling.  Two terms are
+one shift-and-add pass, new[j] = b[j-1]*a_1 + b[j]*a_0, so a long row times
+a linear factor costs work linear in the row's size.  Anything longer is one
 Kronecker substitution.  Each row is packed into one big int, coefficient j
 in byte-aligned slot j, w bytes wide, where 8w - 1 >= the bit length of the
 product's coefficient bound max|a| * max|b| * min(len a, len b); a signed
@@ -161,10 +163,7 @@ class Polynomial(Record):
         return add_all((self, other))
 
     def __neg__(self) -> Polynomial:
-        p = object.__new__(Polynomial)  # a negated canonical row is canonical
-        object.__setattr__(p, "numerators", tuple([-a for a in self.numerators]))
-        object.__setattr__(p, "denominator", self.denominator)
-        return p
+        return _canonical([-a for a in self.numerators], self.denominator)
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
@@ -178,10 +177,7 @@ class Polynomial(Record):
             return self.scale(other)
         return NotImplemented
 
-    def __rmul__(self, other: Scalar) -> Polynomial:
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> Polynomial:
         """self ** exponent by Miller's recurrence on the int numerators.
@@ -277,7 +273,8 @@ class Polynomial(Record):
         return values[0], self.denominator * qk
 
     def divide_exact(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Euclidean division: return (quotient, remainder).
+        """Euclidean division: return (quotient, remainder), by one long
+        division over the coefficients as Fractions, top power first.
 
         The remainder is exposed so callers can assert divisibility
         (remainder zero) rather than trusting it.
@@ -286,17 +283,13 @@ class Polynomial(Record):
             raise TypeError("divisor must be a Polynomial")
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
-        quotient = Polynomial()
-        remainder = self
-        dd = divisor.degree
-        lead = divisor.leading_coefficient
-        while remainder and remainder.degree >= dd:
-            shift = remainder.degree - dd
-            factor = remainder.leading_coefficient / lead
-            term = Polynomial.monomial(factor, shift)
-            quotient = quotient + term
-            remainder = remainder - term * divisor
-        return quotient, remainder
+        rem, div = list(self.coeffs), divisor.coeffs
+        quot = []  # from the top power down
+        while len(rem) >= len(div):
+            quot.append(rem.pop() / div[-1])
+            for j, d in enumerate(div[:-1], len(rem) + 1 - len(div)):
+                rem[j] -= quot[-1] * d
+        return Polynomial(quot[::-1]), Polynomial(rem)
 
     def render(self, var: str = "m") -> str:
         """Canonical display form, the terms by join_terms from the top power
@@ -356,17 +349,18 @@ def _scaled(row: Sequence[int], c: int) -> Sequence[int]:
 
 
 def _product(p: Polynomial, q: Polynomial) -> Polynomial:
-    """p * q: strip the low-order zeros, then scale by a one-term factor or
-    multiply by Kronecker substitution, and shift back."""
+    """p * q: strip the low-order zeros, then by the shorter factor a scale
+    (one term), take one shift-and-add pass (two terms) or multiply by
+    Kronecker substitution, and shift back."""
     a, b = p.numerators, q.numerators
     if not a or not b:
         return _canonical([], 1)
     ka, kb = _low_zeros(a), _low_zeros(b)
-    a, b = a[ka:], b[kb:]
+    a, b = sorted((a[ka:], b[kb:]), key=len)
     if len(a) == 1:
         row = _scaled(b, a[0])
-    elif len(b) == 1:
-        row = _scaled(a, b[0])
+    elif len(a) == 2:
+        row = [x * a[1] + y * a[0] for x, y in zip([0, *b], [*b, 0])]
     else:
         row = _kronecker(a, b)
     return _canonical([0] * (ka + kb) + list(row), p.denominator * q.denominator)

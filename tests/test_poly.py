@@ -39,6 +39,7 @@ def test_scale():
     assert Polynomial((4, 2)).scale(Fraction(1, 2)) == Polynomial((2, 1))
     assert Polynomial((4, 2)).scale(0) == Polynomial()
     assert 2 * Polynomial((1, 1)) == Polynomial((2, 2))
+    assert Fraction(1, 3) * Polynomial((3, 6)) == Polynomial((1, 2))
 
 
 def test_eval_examples():
@@ -59,6 +60,7 @@ def test_eval_takes_any_fraction_argument(t):
         lambda p: p - 1,
         lambda p: p * None,
         lambda p: None * p,
+        lambda p: "a" * p,
         lambda p: p.divide_exact(3),
     ],
 )
@@ -77,6 +79,13 @@ def test_divide_exact_examples():
     q, r = s2.divide_exact(Polynomial((0, 1, 1)))
     assert q == Polynomial((Fraction(1, 6), Fraction(1, 3)))
     assert not r
+    # a divisor of higher degree leaves the dividend as the remainder
+    q, r = Polynomial((1, 2)).divide_exact(Polynomial((0, 0, 1)))
+    assert (q, r) == (Polynomial(), Polynomial((1, 2)))
+    assert Polynomial().divide_exact(X) == (Polynomial(), Polynomial())
+    # a constant divisor scales, with no remainder
+    q, r = Polynomial((3, 6, Fraction(9, 2))).divide_exact(Polynomial((Fraction(3, 2),)))
+    assert (q, r) == (Polynomial((2, 4, 3)), Polynomial())
 
 
 def test_divide_by_zero_polynomial():

@@ -3,14 +3,16 @@
 The reference keeps a polynomial as a list of Fraction coefficients and does
 schoolbook arithmetic on it, one Fraction operation per term or term pair,
 which is the representation Polynomial does not use.  The strategies lean on
-the cases the integer core treats specially: the zero polynomial, one-term
-rows, runs of zeros at either end, large denominators, and coefficients at
-the edges of the byte slots the Kronecker product packs them into.
+the cases the integer core treats specially: the zero polynomial, one- and
+two-term rows, runs of zeros at either end, large denominators, and
+coefficients at the edges of the byte slots the Kronecker product packs them
+into.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, gcd
 
 import pytest
@@ -19,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 from polysum import poly
 from polysum.expr_parser import Add, lower, parse
 from polysum.poly import Polynomial
+from reference import evaluate
 
 # ---------------------------------------------------------------------------
 # Reference model: ascending lists of Fractions, trailing zeros trimmed.
@@ -121,6 +124,15 @@ def test_add_sub_neg_match_reference(a, b):
 @example([2**8 - 1, 2**8 - 1], [2**8 - 1, 2**8 - 1])
 @example([-(2**16), 2**16, -(2**16)], [2**16, 2**16])
 @example([2**24 - 1] * 8, [-(2**24 - 1)] * 8)
+# one term and two terms on either side, some only once their low zeros go
+@example([Fraction(-5, 3)], [1, 2, 3, 4])
+@example([1, -2, 0, 3], [7])
+@example([0, 0, 0, 2**16], [Fraction(1, 9), 0, -4, 2])
+@example([3, 1, 4, 1, 5], [0, 0, Fraction(2, 5)])
+@example([2, -3], [5, 0, Fraction(-1, 7), 1])
+@example([9, 8, 7, 6], [0, 0, -(2**32), 2**32 - 1])
+@example([0, 4], [0, 0, Fraction(-1, 9)])
+@example([0, 1, 1], [0, 0, 2, -1])
 def test_product_matches_schoolbook(a, b):
     p, q = Polynomial(a), Polynomial(b)
     check(p * q, ref_mul(ref(a), ref(b)))
@@ -302,6 +314,40 @@ def test_lowered_wide_binomial_power_matches_the_binomial_theorem():
     c = 10**20 - 1
     assert p.numerators == tuple(comb(300, k) * c**k for k in range(301))
     assert p.denominator == 1
+
+
+def test_chain_of_two_term_factors_needs_no_kronecker_product(monkeypatch):
+    calls = []
+    kronecker = poly._kronecker
+
+    def counted(a, b):
+        calls.append((len(a), len(b)))
+        return kronecker(a, b)
+
+    monkeypatch.setattr(poly, "_kronecker", counted)
+    factors = [f"({k}x{-k // 2:+d})" for k in range(1, 51)]
+    p = lower(parse("*".join(factors)))
+    assert calls == []
+    check(p, reduce(ref_mul, [[-k // 2, k] for k in range(1, 51)]))
+
+
+short_factors = st.builds(
+    lambda low, body: [0] * low + body,
+    st.integers(0, 2),
+    st.lists(coefficients, min_size=1, max_size=3).filter(any),
+)
+
+
+@property_settings
+@given(st.lists(short_factors, min_size=1, max_size=40))
+@example([[1, 1]] * 40)
+@example([[0, 0, Fraction(2, 3)], [-1, 1], [1, 0, 1], [0, 2**16 - 1, 2**16]])
+def test_lowered_chain_of_short_factors_matches_schoolbook(factors):
+    tree = parse("*".join(f"({Polynomial(f).render('x')})" for f in factors))
+    p = lower(tree)
+    check(p, reduce(ref_mul, [ref(f) for f in factors]))
+    for t in (Fraction(-7, 3), 2):
+        assert evaluate(tree, t) == p(t)
 
 
 def test_lowered_trinomial_power_is_palindromic():
