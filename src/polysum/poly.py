@@ -356,7 +356,9 @@ def _product(p: Polynomial, q: Polynomial) -> Polynomial:
     if not a or not b:
         return _canonical([], 1)
     ka, kb = _low_zeros(a), _low_zeros(b)
-    a, b = sorted((a[ka:], b[kb:]), key=len)
+    a, b = a[ka:], b[kb:]
+    if len(a) > len(b):
+        a, b = b, a
     if len(a) == 1:
         row = _scaled(b, a[0])
     elif len(a) == 2:
