@@ -2,10 +2,12 @@
 
 All numeric output is exact decimal text; nothing is ever rendered through
 floating point.  With --json, each command emits a single JSON object whose
-exact-arithmetic values are decimal strings; a usage error also prints
-{"error": message} on stdout, with the byte "offset" when --expr failed to
-parse.  Exit codes: 0 success, 1 verification failure, 2 usage or parse
-error.  A one-shot process imports json only to write JSON.
+exact-arithmetic values are decimal strings; a usage error or a failed
+self-check (an ArithmeticError) also prints {"error": message} on stdout,
+with the byte "offset" when --expr failed to parse.  Exit codes: 0 success,
+1 verification failure or failed self-check, 2 usage or parse error.  The
+identities suite is powersum's weights, which check a_n and S_n(1).  A
+one-shot process imports json only to write JSON.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ import os
 import sys
 from collections.abc import Callable
 
-from .basis import alternating_sums
 from .expr_parser import MAX_DEGREE, ParseError, parse_polynomial
 from .poly import Polynomial
-from .powersum import power_sum_closed_form, power_sum_factored_form, power_sum_value
+from .powersum import _weights, power_sum_closed_form, power_sum_factored_form, power_sum_value
 from .summation import sum_polynomial, sum_range
 
 __all__ = ["main"]
@@ -159,14 +160,9 @@ def _failure(check: str, n: int, expected, got, **where) -> dict:
 
 
 def _suite_identities(max_n: int) -> tuple[int, list[dict]]:
-    failures, expected = [], 1
     for n in range(1, max_n + 1):
-        expected *= -n  # (-1)^n n!
-        # sum_k (-1)^k C(n,k) k^n, the sum powersum turns into a_n by (n+1)!
-        got = alternating_sums([k**n for k in range(n + 1)])[n]
-        if got != expected:
-            failures.append(_failure("alternating-identity", n, expected, got))
-    return max_n, failures
+        _weights(n)  # ArithmeticError unless a_n = (-1)^n/(n+1) and S_n(1) = 1
+    return max_n, []
 
 
 def _suite_oracle(max_n: int, max_m: int) -> tuple[int, list[dict]]:
@@ -287,10 +283,18 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
-        code = e.code
-        return code if isinstance(code, int) else 0
+        return e.code if isinstance(e.code, int) else 0
     try:
-        code = _run(args)
+        try:
+            code = args.func(args)
+        except (_UsageError, ArithmeticError) as e:  # ArithmeticError: a failed self-check
+            print(f"error: {e}", file=sys.stderr)
+            error = {"error": str(e)}
+            if isinstance(e.__cause__, ParseError):
+                error["offset"] = e.__cause__.offset
+            if args.json:
+                _emit(args, error, "")
+            code = 2 if isinstance(e, _UsageError) else 1
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
     except BrokenPipeError:
         # The reader went away.  Send the interpreter's final flush to devnull
@@ -298,20 +302,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     return code
-
-
-def _run(args: argparse.Namespace) -> int:
-    try:
-        return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        if args.json:
-            import json
-            error = {"error": str(e)}
-            if isinstance(e.__cause__, ParseError):
-                error["offset"] = e.__cause__.offset
-            print(json.dumps(error))
-        return 2
 
 
 if __name__ == "__main__":

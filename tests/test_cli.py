@@ -378,7 +378,7 @@ def test_brute_force_m_past_the_bound_is_usage_error(capsys, monkeypatch, argv):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    for name in ("alternating_sums", "power_sum_value", "power_sum_closed_form"):
+    for name in ("_weights", "power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     code, out, err = run_cli(capsys, "--json", *argv)
     assert code == 2
@@ -391,7 +391,7 @@ def test_verify_n_past_the_bound_is_usage_error(capsys, monkeypatch, suite):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    for name in ("alternating_sums", "power_sum_value", "power_sum_closed_form"):
+    for name in ("_weights", "power_sum_value", "power_sum_closed_form"):
         monkeypatch.setattr(cli_module, name, no_work)
     argv = ["verify", "--suite", suite, "--max-n", str(MAX_VERIFY_N + 1), "--max-m", "1"]
     code, out, err = run_cli(capsys, "--json", *argv)
@@ -434,55 +434,114 @@ def test_usage_error_on_unknown_subcommand(capsys, argv):
     assert "invalid choice" in err
 
 
-def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
-    # the suite calls alternating_sums on the n + 1 values k^n; zero the n = 3 sums
-    real = cli_module.alternating_sums
-    monkeypatch.setattr(
-        cli_module, "alternating_sums", lambda v: [0] * len(v) if len(v) == 4 else real(v)
-    )
-    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
-    assert code == 1
-    assert "identities: 4/5 passed" in out
-    assert "n=3" in out
-    assert "expected -6, got 0" in out
-    assert "verification FAILED" in out
+# A failed self-check of the exact arithmetic ends every command the same
+# way: exit 1, one "error:" line on stderr, and under --json the error object.
+A3_MESSAGE = "a_n disagrees with (-1)^n/(n+1) for n=3: 0/1"
 
 
-def test_identities_suite_sees_a_defect_in_the_production_kernel(capsys, monkeypatch):
-    # the suite and the power-sum weights call one kernel; zero its sums for the
-    # values k^3 only: the suite must fail where powersum.coefficients(3) fails
-    real = polysum.basis.alternating_sums
-    assert cli_module.alternating_sums is real and polysum.powersum.alternating_sums is real
+def tamper_with_weights(monkeypatch):
+    """Zero alternating_sums on the values k^3, in powersum's binding only."""
+    real = polysum.powersum.alternating_sums
 
     def tampered(values):
         return [0] * len(values) if list(values) == [0, 1, 8, 27] else real(values)
 
-    for module in (cli_module, polysum.powersum):
-        monkeypatch.setattr(module, "alternating_sums", tampered)
-    with pytest.raises(ArithmeticError):
+    monkeypatch.setattr(polysum.powersum, "alternating_sums", tampered)
+    # a cached S_3 would skip the weights; a build that raises is not cached
+    power_sum_closed_form.cache_clear()
+
+
+def assert_failed_self_check(capsys, argv, as_json, message):
+    code, out, err = run_cli(capsys, *(["--json"] if as_json else []), *argv)
+    assert code == 1
+    assert err == f"error: {message}\n" and "Traceback" not in err
+    assert out == (json.dumps({"error": message}) + "\n" if as_json else "")
+
+
+def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
+    # _weights calls alternating_sums on the n + 1 values k^n; move a middle sum
+    # for n = 3 by one: a_3 still holds, S_3(1) = 1 does not
+    real = polysum.powersum.alternating_sums
+
+    def tampered(values):
+        sums = real(values)
+        if len(values) == 4:
+            sums[2] += 1
+        return sums
+
+    monkeypatch.setattr(polysum.powersum, "alternating_sums", tampered)
+    code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: the a_i give S_n(1) = 0, not 1, for n=3\n"
+
+
+def test_identities_suite_sees_a_defect_in_the_production_kernel(capsys, monkeypatch):
+    # the suite runs the power-sum weights; zero the kernel's sums for the values
+    # k^3, in powersum's binding only: the suite must fail where
+    # powersum.coefficients(3) fails
+    tamper_with_weights(monkeypatch)
+    with pytest.raises(ArithmeticError, match=re.escape(A3_MESSAGE)):
         coefficients(3)
     # the expanded closed form is built from the same a_i, so it fails too
-    power_sum_closed_form.cache_clear()
-    try:
-        with pytest.raises(ArithmeticError):
-            power_sum_closed_form(3)
-    finally:
-        power_sum_closed_form.cache_clear()
-    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
-    assert code == 1
-    assert "identities: 4/5 passed" in out
-    assert "expected -6, got 0" in out
+    with pytest.raises(ArithmeticError, match=re.escape(A3_MESSAGE)):
+        power_sum_closed_form(3)
+    code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "5")
+    assert (code, out) == (1, "")
+    assert err == f"error: {A3_MESSAGE}\n"
 
 
 def test_verify_failure_json_reports_counterexample(capsys, monkeypatch):
-    monkeypatch.setattr(cli_module, "alternating_sums", lambda v: [0] * len(v))
-    code, out, _ = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "4", "--json")
+    monkeypatch.setattr(polysum.powersum, "alternating_sums", lambda v: [0] * len(v))
+    code, out, err = run_cli(capsys, "verify", "--suite", "identities", "--max-n", "4", "--json")
     assert code == 1
-    payload = json.loads(out)
-    assert payload["ok"] is False
-    (suite,) = payload["suites"]
-    assert suite["passed"] == 0 and suite["total"] == 4
-    assert suite["failures"][0]["n"] == 1
+    message = "a_n disagrees with (-1)^n/(n+1) for n=1: 0/1"
+    assert err == f"error: {message}\n"
+    assert json.loads(out) == {"error": message}
+
+
+def test_oracle_failure_reports_the_counterexample_as_text(capsys, monkeypatch):
+    # a suite that finds a counterexample prints its report, not an error line
+    monkeypatch.setattr(
+        cli_module, "power_sum_value", lambda n, m: m * (m + 1) // 2 + (m == 2)
+    )
+    code, out, err = run_cli(capsys, "verify", "--suite", "oracle", "--max-n", "1", "--max-m", "3")
+    assert (code, err) == (1, "")
+    assert out == (
+        "oracle: 2/3 passed\n"
+        "  FAIL power-sum-oracle at n=1, m=2: expected 3, got 4\n"
+        "verification FAILED\n"
+    )
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "oracle", "--max-n", "5"],
+        ["verify", "--suite", "divisibility", "--max-n", "5"],
+        ["verify", "--suite", "all", "--max-n", "5"],
+        ["closed-form", "--n", "3"],
+        ["closed-form", "--n", "3", "--factored"],
+    ],
+    ids=" ".join,
+)
+def test_failed_weights_check_is_one_error_line(capsys, monkeypatch, argv, as_json):
+    tamper_with_weights(monkeypatch)
+    assert_failed_self_check(capsys, argv, as_json, A3_MESSAGE)
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("bounds", [[], ["--lo", "1", "--hi", "3"]], ids=["symbolic", "ranged"])
+def test_failed_assembly_check_is_one_error_line(capsys, monkeypatch, bounds, as_json):
+    # one more at every m, as tests/test_summation.py tampers with the assembly
+    import polysum.summation as summation_module
+
+    real = summation_module.from_rising_row
+    monkeypatch.setattr(
+        summation_module, "from_rising_row", lambda row, den: real(row, den) + Polynomial((1,))
+    )
+    argv = ["sum", "--expr", "x^3 - x", *bounds]
+    assert_failed_self_check(capsys, argv, as_json, "the closed form at m=1 is 1, not f(1) = 0")
 
 
 def test_non_bench_output_is_deterministic(capsys):
