@@ -6,8 +6,10 @@ exact-arithmetic values are decimal strings; a usage error or a failed
 self-check (an ArithmeticError) also prints {"error": message} on stdout,
 with the byte "offset" when --expr failed to parse.  Exit codes: 0 success,
 1 verification failure or failed self-check, 2 usage or parse error.  The
-identities suite is powersum's weights, which check a_n and S_n(1).  A
-one-shot process imports json only to write JSON.
+integer flags take an optional sign and ASCII digits.  verify makes one pass
+over n, and each selected suite checks each n; the identities suite is
+powersum's weights, which check a_n and S_n(1).  A one-shot process imports
+json only to write JSON.
 """
 
 from __future__ import annotations
@@ -43,6 +45,16 @@ def _check_range(name: str, value: int, lo: int, hi: int) -> None:
         raise _UsageError(f"{name} must be >= {lo} (got {value})")
     if value > hi:
         raise _UsageError(f"{name} must be <= {hi} (got {value})")
+
+
+def _int(text: str) -> int:
+    """argparse type of the integer flags: an optional sign, then ASCII digits."""
+    if text.isascii() and text.lstrip("+-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # a second sign, or past Python's int-string digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
 def _exact_text(render: Callable[[], str]) -> str:
@@ -159,44 +171,37 @@ def _failure(check: str, n: int, expected, got, **where) -> dict:
     return {"check": check, "n": n, **where, "expected": str(expected), "got": str(got)}
 
 
-def _suite_identities(max_n: int) -> tuple[int, list[dict]]:
-    for n in range(1, max_n + 1):
-        _weights(n)  # ArithmeticError unless a_n = (-1)^n/(n+1) and S_n(1) = 1
-    return max_n, []
+def _identities(n: int, max_m: int) -> tuple[int, list[dict]]:
+    _weights(n)  # ArithmeticError unless a_n = (-1)^n/(n+1) and S_n(1) = 1
+    return 1, []
 
 
-def _suite_oracle(max_n: int, max_m: int) -> tuple[int, list[dict]]:
+def _oracle(n: int, max_m: int) -> tuple[int, list[dict]]:
     failures = []
-    for n in range(1, max_n + 1):
-        literal = 0
-        for m in range(1, max_m + 1):
-            literal += m**n
-            got = power_sum_value(n, m)
-            if got != literal:
-                failures.append(_failure("power-sum-oracle", n, literal, got, m=m))
-    return max_n * max_m, failures
+    literal = 0
+    for m in range(1, max_m + 1):
+        literal += m**n
+        got = power_sum_value(n, m)
+        if got != literal:
+            failures.append(_failure("power-sum-oracle", n, literal, got, m=m))
+    return max_m, failures
 
 
-def _suite_divisibility(max_n: int) -> tuple[int, list[dict]]:
+def _divisibility(n: int, max_m: int) -> tuple[int, list[dict]]:
     failures = []
-    for n in range(1, max_n + 1):
-        closed = power_sum_closed_form(n)
-        # g mod m(m+1) is the line through (0, g(0)) and (-1, g(-1))
-        at_zero = closed(0)
-        remainder = Polynomial((at_zero, at_zero - closed(-1)))
-        if remainder:
-            failures.append(_failure("divisible-by-m(m+1)", n, 0, remainder.render()))
-        if at_zero != 0:
-            failures.append(_failure("zero-constant-term", n, 0, at_zero))
-    return 2 * max_n, failures
+    closed = power_sum_closed_form(n)
+    # g mod m(m+1) is the line through (0, g(0)) and (-1, g(-1))
+    at_zero = closed(0)
+    remainder = Polynomial((at_zero, at_zero - closed(-1)))
+    if remainder:
+        failures.append(_failure("divisible-by-m(m+1)", n, 0, remainder.render()))
+    if at_zero != 0:
+        failures.append(_failure("zero-constant-term", n, 0, at_zero))
+    return 2, failures
 
 
-# verify's suites by name, each returning (checks run, failures)
-_SUITES = {
-    "identities": lambda args: _suite_identities(args.max_n),
-    "oracle": lambda args: _suite_oracle(args.max_n, args.max_m),
-    "divisibility": lambda args: _suite_divisibility(args.max_n),
-}
+# verify's suites by name, each checking one n and returning (checks run, failures)
+_SUITES = {"identities": _identities, "oracle": _oracle, "divisibility": _divisibility}
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -207,12 +212,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise _UsageError(
             f"--max-m * --max-n must be <= {MAX_M} for the oracle suite (got {work})"
         )
-    results = []
-    for name in _SUITES if args.suite == "all" else [args.suite]:
-        total, failures = _SUITES[name](args)
-        # counts cover every check; the report keeps the smallest counterexamples
-        passed = total - len(failures)
-        results.append({"name": name, "passed": passed, "total": total, "failures": failures[:3]})
+    names = _SUITES if args.suite == "all" else [args.suite]
+    results = [{"name": name, "passed": 0, "total": 0, "failures": []} for name in names]
+    # one pass over n, so each S_n is built once however many suites run
+    for n in range(1, args.max_n + 1):
+        for r in results:
+            total, failures = _SUITES[r["name"]](n, args.max_m)
+            # counts cover every check; the report keeps the smallest counterexamples
+            r["passed"] += total - len(failures)
+            r["total"] += total
+            r["failures"] += failures[: 3 - len(r["failures"])]
     ok = all(r["passed"] == r["total"] for r in results)
     payload = {"mode": "verify", "suites": results, "ok": ok}
     lines = []
@@ -251,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "closed-form", parents=[common],
         help="closed form of the power sum 1^n + 2^n + ... + m^n",
     )
-    p_closed.add_argument("--n", type=int, required=True, help="the exponent (n >= 1)")
+    p_closed.add_argument("--n", type=_int, required=True, help="the exponent (n >= 1)")
     p_closed.add_argument(
         "--factored", action="store_true",
         help="factored form pulling out m*(m+1) (requires n >= 3)",
@@ -263,8 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="sum a polynomial expression over an integer range, or symbolically",
     )
     p_sum.add_argument("--expr", required=True, help='polynomial expression, e.g. "x^3 - x"')
-    p_sum.add_argument("--lo", type=int, help="lower bound (inclusive)")
-    p_sum.add_argument("--hi", type=int, help="upper bound (inclusive)")
+    p_sum.add_argument("--lo", type=_int, help="lower bound (inclusive)")
+    p_sum.add_argument("--hi", type=_int, help="upper bound (inclusive)")
     p_sum.set_defaults(func=_cmd_sum)
 
     p_verify = sub.add_parser(
@@ -272,8 +281,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run exactness and divisibility check suites",
     )
     p_verify.add_argument("--suite", required=True, choices=[*_SUITES, "all"])
-    p_verify.add_argument("--max-n", type=int, required=True, help="largest exponent checked")
-    p_verify.add_argument("--max-m", type=int, default=100, help="largest m for the oracle suite")
+    p_verify.add_argument("--max-n", type=_int, required=True, help="largest exponent checked")
+    p_verify.add_argument("--max-m", type=_int, default=100, help="largest m for the oracle suite")
     p_verify.set_defaults(func=_cmd_verify)
 
     return parser

@@ -259,6 +259,31 @@ def test_sum_rejects_non_ascii_digits(capsys):
     assert "byte 1" in err
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    ("argv", "flag", "value"),
+    [
+        # U+0663 is ARABIC-INDIC DIGIT THREE, which int() reads as 3
+        (["closed-form"], "--n", "\u0663"),
+        (["sum", "--expr", "x", "--hi", "12"], "--lo", "1_0"),
+        (["sum", "--expr", "x", "--lo", "1"], "--hi", " 12 "),
+        (["verify", "--suite", "identities"], "--max-n", "\u0663"),
+        # malformed ASCII keeps argparse's own message for type=int
+        (["closed-form"], "--n", "abc"),
+    ],
+    ids=["n", "lo", "hi", "max-n", "ascii"],
+)
+def test_integer_flags_take_only_ascii_digits(capsys, argv, flag, value, as_json):
+    # as --expr does: int() alone would also take non-ASCII digits, "_" and spaces
+    code, out, err = run_cli(capsys, *(["--json"] if as_json else []), *argv, flag, value)
+    assert (code, out) == (2, "")
+    assert err.endswith(f" error: argument {flag}: invalid int value: {value!r}\n")
+
+
+def test_integer_flags_take_a_plus_sign(capsys):
+    assert run_cli(capsys, "closed-form", "--n", "+3") == (0, "1/4*m^4 + 1/2*m^3 + 1/4*m^2\n", "")
+
+
 def test_sum_bounds_must_come_together(capsys):
     code, _, err = run_cli(capsys, "sum", "--expr", "x", "--lo", "1")
     assert code == 2
@@ -298,6 +323,62 @@ def test_verify_all_passes(capsys):
     assert "oracle: 120/120 passed" in out
     assert "divisibility: 12/12 passed" in out
     assert "all checks passed" in out
+
+
+def test_verify_all_builds_each_closed_form_once(capsys):
+    # every suite checks n before the pass moves on, so the divisibility check
+    # finds the S_n that the oracle check just built, whatever the cache size
+    power_sum_closed_form.cache_clear()
+    code, _, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "130", "--max-m", "1")
+    assert code == 0
+    assert power_sum_closed_form.cache_info().misses == 130
+
+
+def test_verify_all_reports_each_suite_in_n_m_order(capsys, monkeypatch):
+    # the oracle is off by one at five (n, m) and S_3, S_5 and S_6 break the
+    # divisibility checks; each suite counts every failure and keeps its first three
+    wrong_values = {(2, 3), (2, 5), (4, 1), (5, 2), (6, 5)}
+    real_value = cli_module.power_sum_value
+    monkeypatch.setattr(
+        cli_module, "power_sum_value", lambda n, m: real_value(n, m) + ((n, m) in wrong_values)
+    )
+    extra = {3: Polynomial((0, 1)), 5: Polynomial((2,)), 6: Polynomial((0, 0, 1))}
+    monkeypatch.setattr(
+        cli_module,
+        "power_sum_closed_form",
+        lambda n: power_sum_closed_form(n) + extra.get(n, Polynomial(())),
+    )
+    code, out, err = run_cli(
+        capsys, "--json", "verify", "--suite", "all", "--max-n", "6", "--max-m", "5"
+    )
+    assert (code, err) == (1, "")
+
+    def oracle(n, m, literal):
+        return {"check": "power-sum-oracle", "n": n, "m": m, "expected": str(literal),
+                "got": str(literal + 1)}
+
+    def divisibility(check, n, got):
+        return {"check": check, "n": n, "expected": "0", "got": got}
+
+    assert json.loads(out) == {
+        "mode": "verify",
+        "suites": [
+            {"name": "identities", "passed": 6, "total": 6, "failures": []},
+            {
+                "name": "oracle", "passed": 25, "total": 30,
+                "failures": [oracle(2, 3, 14), oracle(2, 5, 55), oracle(4, 1, 1)],
+            },
+            {
+                "name": "divisibility", "passed": 8, "total": 12,
+                "failures": [
+                    divisibility("divisible-by-m(m+1)", 3, "m"),
+                    divisibility("divisible-by-m(m+1)", 5, "2"),
+                    divisibility("zero-constant-term", 5, "2"),
+                ],
+            },
+        ],
+        "ok": False,
+    }
 
 
 def test_verify_single_suite_json(capsys):

@@ -53,3 +53,12 @@ def test_value_just_inside_the_limit_is_printed(capsys):
     assert code == 0
     m = int(hi)
     assert json.loads(out)["value"] == str((m * (m + 1) // 2) ** 2)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_overlong_integer_flag_is_argparse_error(capsys, json_flag):
+    # ASCII digits past the limit fail int(); argparse reports them as it reports "abc"
+    n = "9" * (LIMIT + 1)
+    code, out, err = run_cli(capsys, *json_flag, "closed-form", "--n", n)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument --n: invalid int value: {n!r}\n")
