@@ -1,7 +1,9 @@
 """Command-line interface: closed forms, exact sums and verification suites.
 
 All numeric output is exact decimal text; nothing is ever rendered through
-floating point.  With --json, each command emits a single JSON object whose
+floating point.  Commands hand their exact values to main, which turns them
+into text once; a number past Python's int-string digit limit is a usage
+error there.  With --json, each command emits a single JSON object whose
 exact-arithmetic values are decimal strings; a usage error or a failed
 self-check (an ArithmeticError) also prints {"error": message} on stdout,
 with the byte "offset" when --expr failed to parse.  Exit codes: 0 success,
@@ -17,7 +19,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
 
 from .expr_parser import MAX_DEGREE, ParseError, parse_polynomial
 from .poly import Polynomial
@@ -57,30 +58,11 @@ def _int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
 
 
-def _exact_text(render: Callable[[], str]) -> str:
-    """Run one formatting call; Python's int-string digit limit is a usage error."""
-    try:
-        return render()
-    except ValueError as e:
-        raise _UsageError(
-            f"the exact result has a number longer than {sys.get_int_max_str_digits()} "
-            "digits, Python's int-to-string limit; set PYTHONINTMAXSTRDIGITS to allow it"
-        ) from e
-
-
-def _emit(args: argparse.Namespace, payload: dict, text: str) -> None:
-    if args.json:
-        import json
-        print(json.dumps(payload))
-    else:
-        print(text)
-
-
 # ---------------------------------------------------------------------------
 # closed-form
 
 
-def _cmd_closed_form(args: argparse.Namespace) -> int:
+def _cmd_closed_form(args: argparse.Namespace) -> tuple[int, dict, object]:
     n = args.n
     if n == 0:
         raise _UsageError("n must be >= 1; the n = 0 sum is m itself: polysum sum --expr 1")
@@ -89,39 +71,38 @@ def _cmd_closed_form(args: argparse.Namespace) -> int:
         if n < 3:
             raise _UsageError(f"the factored form requires n >= 3 (got {n})")
         form = power_sum_factored_form(n)
-        rendering = form.render()
+        text = form.render()
         payload = {
             "mode": "closed_form",
             "n": n,
             "format": "factored",
             "variable": "m",
-            "rendering": rendering,
+            "rendering": text,
             "sign": form.sign,
-            "prefactor": form.prefactor.render(),
-            "inner_constant": str(form.inner_constant),
+            "prefactor": form.prefactor,
+            "inner_constant": form.inner_constant,
             "inner_terms": [
-                {"length": i, "coefficient": str(c)}
+                {"length": i, "coefficient": c}
                 for i, c in form.inner_coeffs
             ],
         }
     else:
-        rendering = power_sum_closed_form(n).render()
+        text = power_sum_closed_form(n)
         payload = {
             "mode": "closed_form",
             "n": n,
             "format": "expanded",
             "variable": "m",
-            "polynomial": rendering,
+            "polynomial": text,
         }
-    _emit(args, payload, rendering)
-    return 0
+    return 0, payload, text
 
 
 # ---------------------------------------------------------------------------
 # sum
 
 
-def _cmd_sum(args: argparse.Namespace) -> int:
+def _cmd_sum(args: argparse.Namespace) -> tuple[int, dict, object]:
     try:
         f = parse_polynomial(args.expr)
     except ParseError as e:
@@ -140,27 +121,23 @@ def _cmd_sum(args: argparse.Namespace) -> int:
                 f"max(|lo - 1|, |hi|) must be <= {MAX_SUM_BITS} (got {bits})"
             )
         value = sum_range(f, args.lo, args.hi)
-        text = _exact_text(lambda: str(value))
         payload = {
             "mode": "value",
             "expr": args.expr,
             "lo": args.lo,
             "hi": args.hi,
-            "value": text,
+            "value": value,
         }
-        _emit(args, payload, text)
-    else:
-        closed = sum_polynomial(f)
-        rendering = _exact_text(closed.poly.render)
-        payload = {
-            "mode": "closed_form",
-            "expr": args.expr,
-            "variable": "m",
-            "polynomial": rendering,
-            "source_degree": closed.source_degree,
-        }
-        _emit(args, payload, rendering)
-    return 0
+        return 0, payload, value
+    closed = sum_polynomial(f)
+    payload = {
+        "mode": "closed_form",
+        "expr": args.expr,
+        "variable": "m",
+        "polynomial": closed.poly,
+        "source_degree": closed.source_degree,
+    }
+    return 0, payload, closed.poly
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +181,7 @@ def _divisibility(n: int, max_m: int) -> tuple[int, list[dict]]:
 _SUITES = {"identities": _identities, "oracle": _oracle, "divisibility": _divisibility}
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict, object]:
     _check_range("--max-n", args.max_n, 1, MAX_VERIFY_N)
     _check_range("--max-m", args.max_m, 1, MAX_M)
     work = args.max_m * args.max_n
@@ -233,8 +210,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 f"  FAIL {f['check']} at {where}: expected {f['expected']}, got {f['got']}"
             )
     lines.append("all checks passed" if ok else "verification FAILED")
-    _emit(args, payload, "\n".join(lines))
-    return 0 if ok else 1
+    return 0 if ok else 1, payload, "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -293,17 +269,27 @@ def main(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 0
+    if args.json:
+        import json
     try:
         try:
-            code = args.func(args)
+            code, payload, text = args.func(args)
+            try:  # exact values become text here, and only what is printed
+                out = json.dumps(payload, default=str) if args.json else str(text)
+            except ValueError as e:
+                raise _UsageError(
+                    f"the exact result has a number longer than {sys.get_int_max_str_digits()} "
+                    "digits, Python's int-to-string limit; set PYTHONINTMAXSTRDIGITS to allow it"
+                ) from e
         except (_UsageError, ArithmeticError) as e:  # ArithmeticError: a failed self-check
             print(f"error: {e}", file=sys.stderr)
             error = {"error": str(e)}
             if isinstance(e.__cause__, ParseError):
                 error["offset"] = e.__cause__.offset
-            if args.json:
-                _emit(args, error, "")
             code = 2 if isinstance(e, _UsageError) else 1
+            out = json.dumps(error) if args.json else None
+        if out is not None:
+            print(out)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
     except BrokenPipeError:
         # The reader went away.  Send the interpreter's final flush to devnull

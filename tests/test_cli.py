@@ -57,6 +57,42 @@ def test_closed_form_factored_json(capsys):
         assert EXACT_DECIMAL.match(term["coefficient"])
 
 
+def test_text_mode_formats_only_what_it_prints(capsys, monkeypatch):
+    # text mode prints the rendering alone, so the JSON-only prefactor stays unformatted
+    calls = []
+    render = Polynomial.render
+
+    def counting_render(self, *args, **kwargs):
+        calls.append(self)
+        return render(self, *args, **kwargs)
+
+    monkeypatch.setattr(Polynomial, "render", counting_render)
+    rendering = (
+        "-m*(m+1)*(-1/2 + 5*(m+2) - 25/4*(m+2)*(m+3) + 2*(m+2)*(m+3)*(m+4)"
+        " - 1/6*(m+2)*(m+3)*(m+4)*(m+5))"
+    )
+    code, out, _ = run_cli(capsys, "closed-form", "--n", "5", "--factored")
+    assert (code, out, calls) == (0, rendering + "\n", [])
+    code, out, _ = run_cli(capsys, "--json", "closed-form", "--n", "5", "--factored")
+    assert code == 0
+    assert json.loads(out) == {
+        "mode": "closed_form",
+        "n": 5,
+        "format": "factored",
+        "variable": "m",
+        "rendering": rendering,
+        "sign": -1,
+        "prefactor": "m^2 + m",
+        "inner_constant": "-1/2",
+        "inner_terms": [
+            {"length": 2, "coefficient": "5"},
+            {"length": 3, "coefficient": "-25/4"},
+            {"length": 4, "coefficient": "2"},
+            {"length": 5, "coefficient": "-1/6"},
+        ],
+    }
+
+
 def test_json_flag_position_is_flexible(capsys):
     _, before, _ = run_cli(capsys, "--json", "closed-form", "--n", "2")
     _, after, _ = run_cli(capsys, "closed-form", "--n", "2", "--json")

@@ -39,11 +39,24 @@ def test_overlong_value_is_usage_error(capsys, json_flag):
     assert "PYTHONINTMAXSTRDIGITS" in err
 
 
-def test_overlong_symbolic_coefficient_is_usage_error(capsys):
+@pytest.mark.parametrize(
+    "before, after",
+    [
+        pytest.param([], [], id="text"),
+        pytest.param(["--json"], [], id="json-before"),
+        pytest.param([], ["--json"], id="json-after"),
+    ],
+)
+def test_overlong_symbolic_coefficient_is_usage_error(capsys, before, after):
     # the literal fits the limit, its cube does not
-    code, out, err = run_cli(capsys, "sum", "--expr", f"({'9' * (LIMIT // 3 + 10)}x)^3")
+    expr = f"({'9' * (LIMIT // 3 + 10)}x)^3"
+    code, out, err = run_cli(capsys, *before, "sum", *after, "--expr", expr)
     assert code == 2
-    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    if before or after:
+        assert out == json.dumps({"error": err[len("error: "):].rstrip("\n")}) + "\n"
+    else:
+        assert out == ""
     assert "PYTHONINTMAXSTRDIGITS" in err
 
 

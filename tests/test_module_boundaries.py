@@ -108,6 +108,10 @@ def test_importing_the_cli_loads_no_unused_module():
     [
         (["closed-form", "--n", "3"], False),
         (["--json", "closed-form", "--n", "3"], True),
+        (["sum", "--expr", "x", "--lo", "1", "--hi", "3"], False),
+        (["--json", "sum", "--expr", "x", "--lo", "1", "--hi", "3"], True),
+        (["verify", "--suite", "identities", "--max-n", "3"], False),
+        (["--json", "verify", "--suite", "identities", "--max-n", "3"], True),
     ],
 )
 def test_a_command_loads_json_only_when_it_uses_it(argv, loaded):
