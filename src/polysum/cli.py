@@ -103,41 +103,42 @@ def _cmd_closed_form(args: argparse.Namespace) -> tuple[int, dict, object]:
 
 
 def _cmd_sum(args: argparse.Namespace) -> tuple[int, dict, object]:
+    # the flags are checked before --expr is parsed and lowered, which can take seconds
+    ranged = args.lo is not None
+    if ranged != (args.hi is not None):
+        raise _UsageError("--lo and --hi must be given together")
+    if ranged and args.lo > args.hi:
+        raise _UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
     try:
         f = parse_polynomial(args.expr)
     except ParseError as e:
         raise _UsageError(f"cannot parse --expr: {e}") from e
-    has_lo = args.lo is not None
-    has_hi = args.hi is not None
-    if has_lo != has_hi:
-        raise _UsageError("--lo and --hi must be given together")
-    if has_lo:
-        if args.lo > args.hi:
-            raise _UsageError(f"--lo {args.lo} exceeds --hi {args.hi}")
-        bits = (f.degree + 1) * max(abs(args.lo - 1), abs(args.hi)).bit_length()
-        if bits > MAX_SUM_BITS:
-            raise _UsageError(
-                f"--lo/--hi too large for degree {f.degree}: (degree + 1) * bit length of "
-                f"max(|lo - 1|, |hi|) must be <= {MAX_SUM_BITS} (got {bits})"
-            )
-        value = sum_range(f, args.lo, args.hi)
+    if not ranged:
+        closed = sum_polynomial(f)
         payload = {
-            "mode": "value",
+            "mode": "closed_form",
             "expr": args.expr,
-            "lo": args.lo,
-            "hi": args.hi,
-            "value": value,
+            "variable": "m",
+            "polynomial": closed.poly,
+            "source_degree": closed.source_degree,
         }
-        return 0, payload, value
-    closed = sum_polynomial(f)
+        return 0, payload, closed.poly
+    # the size bound needs the lowered degree
+    bits = (f.degree + 1) * max(abs(args.lo - 1), abs(args.hi)).bit_length()
+    if bits > MAX_SUM_BITS:
+        raise _UsageError(
+            f"--lo/--hi too large for degree {f.degree}: (degree + 1) * bit length of "
+            f"max(|lo - 1|, |hi|) must be <= {MAX_SUM_BITS} (got {bits})"
+        )
+    value = sum_range(f, args.lo, args.hi)
     payload = {
-        "mode": "closed_form",
+        "mode": "value",
         "expr": args.expr,
-        "variable": "m",
-        "polynomial": closed.poly,
-        "source_degree": closed.source_degree,
+        "lo": args.lo,
+        "hi": args.hi,
+        "value": value,
     }
-    return 0, payload, closed.poly
+    return 0, payload, value
 
 
 # ---------------------------------------------------------------------------

@@ -123,12 +123,8 @@ def _tokenize(src: str) -> tuple[list[str], list[str], list[int]]:
         ch = src[i]
         j = i + 1
         if ch in _PUNCT:  # its own kind
-            kinds.append(ch)
-            texts.append(ch)
-            starts.append(i)
-            i = j
-            continue
-        if ch in _DIGITS:
+            kind = ch
+        elif ch in _DIGITS:
             while j < n and src[j] in _DIGITS:
                 j += 1
             kind = "int"
@@ -177,12 +173,6 @@ class _Parser:
     def _expected(self, expected: str) -> ParseError:
         found = "end of input" if self._kind == "eof" else repr(self._texts[self._index])
         return self._error(f"expected {expected}, found {found}", self._index)
-
-    def parse(self) -> PolyExpr:
-        result, _ = self._expr()
-        if self._kind != "eof":
-            raise self._expected("end of input")
-        return result
 
     # Each production returns its node and the node's degree bound.
 
@@ -278,20 +268,19 @@ class _Parser:
             if self._kind != "int":
                 raise self._expected("a literal nonnegative integer exponent")
             self._index, self._kind = next(self._tokens)
-            value = self._int(text, at)
-            if value > MAX_DEGREE:
-                raise self._error(f"exponent exceeds the maximum degree {MAX_DEGREE}", at)
-            chain.append(value)
+            chain.append(self._bounded_exponent(self._int(text, at), at))
             if self._kind != "^":
                 break
             self._index, self._kind = next(self._tokens)
         value = chain.pop()
-        while chain:
-            value = chain.pop() ** value
-            if value > MAX_DEGREE:
-                raise self._error(
-                    f"exponent exceeds the maximum degree {MAX_DEGREE}", first + 2 * len(chain)
-                )
+        while chain:  # popped first, the fold's base is chain literal len(chain)
+            value = self._bounded_exponent(chain.pop() ** value, first + 2 * len(chain))
+        return value
+
+    def _bounded_exponent(self, value: int, at: int) -> int:
+        """value, or a ParseError at token index at if it exceeds MAX_DEGREE."""
+        if value > MAX_DEGREE:
+            raise self._error(f"exponent exceeds the maximum degree {MAX_DEGREE}", at)
         return value
 
     def _literal_value(self, at: int) -> Fraction:
@@ -324,7 +313,11 @@ class _Parser:
 
 def parse(src: str) -> PolyExpr:
     """Parse source text into an expression tree."""
-    return _Parser(src).parse()
+    parser = _Parser(src)
+    result, _ = parser._expr()
+    if parser._kind != "eof":
+        raise parser._expected("end of input")
+    return result
 
 
 _X = Polynomial.from_numerators((0, 1))

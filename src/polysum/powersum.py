@@ -31,7 +31,7 @@ from operator import mul
 
 from .basis import alternating_sums
 from .poly import ONE, Polynomial, Record, join_terms, lowest_terms
-from .summation import close
+from .summation import _count, close
 
 __all__ = [
     "PowerSumCoefficients",
@@ -143,10 +143,7 @@ def power_sum_value(n: int, m: int) -> int:
     form always takes integer values at integers; a non-integer result would
     mean the construction itself is broken, so it raises rather than rounding.
     """
-    if not isinstance(m, int):
-        raise TypeError(f"m must be an int (got {type(m).__name__})")
-    if m < 0:
-        raise ValueError(f"m must be >= 0 (got {m})")
+    _count(m)  # before the build, which an invalid m must not pay for
     num, den = power_sum_closed_form(n)._at(m)
     value, rest = divmod(num, den)  # one division in place of a Fraction's gcd
     if rest:

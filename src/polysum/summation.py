@@ -47,16 +47,20 @@ class ClosedFormSum(Record):
         """Exact value of the sum for an int m >= 1; m = 0 gives the empty
         sum 0.
 
-        Negative or non-integer m has no summation meaning; self.poly(m)
-        evaluates the polynomial there anyway.
+        Negative or non-integer m has no summation meaning and raises, as in
+        power_sum_value; self.poly(m) evaluates the polynomial there anyway.
         """
-        if not isinstance(m, int):
-            raise TypeError(
-                f"m must be an int (got {type(m).__name__}); poly(m) is the polynomial extension"
-            )
-        if m < 0:
-            raise ValueError(f"m must be >= 0 (got {m}); poly(m) is the polynomial extension")
-        return self.poly(m)
+        return self.poly(_count(m))
+
+
+def _count(m: int) -> int:
+    """m, the count of terms of a sum over 1..m; TypeError unless m is an int,
+    ValueError if it is negative."""
+    if not isinstance(m, int):
+        raise TypeError(f"m must be an int (got {type(m).__name__})")
+    if m < 0:
+        raise ValueError(f"m must be >= 0 (got {m})")
+    return m
 
 
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:

@@ -332,6 +332,28 @@ def test_sum_rejects_reversed_bounds(capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (["--lo", "1"], "--lo and --hi must be given together"),
+        (["--hi", "3"], "--lo and --hi must be given together"),
+        (["--lo", "5", "--hi", "1"], "--lo 5 exceeds --hi 1"),
+    ],
+    ids=["lo-alone", "hi-alone", "reversed"],
+)
+def test_sum_checks_its_flags_before_parsing(capsys, monkeypatch, bounds, message, as_json):
+    def no_parse(src):
+        raise AssertionError("--expr was parsed before the flags were checked")
+
+    monkeypatch.setattr(cli_module, "parse_polynomial", no_parse)
+    argv = [*(["--json"] if as_json else []), "sum", "--expr", "x", *bounds]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert out == (json.dumps({"error": message}) + "\n" if as_json else "")
+
+
 def test_sum_past_the_size_bound_is_usage_error(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")

@@ -8,7 +8,7 @@ import pytest
 from conftest import random_polynomial
 from polysum import summation
 from polysum.poly import Polynomial
-from polysum.powersum import power_sum_closed_form
+from polysum.powersum import power_sum_closed_form, power_sum_value
 from polysum.summation import sum_polynomial, sum_range
 from reference import brute_force_sum, rising_factorial_basis_poly, sum_rising_factorial
 
@@ -100,6 +100,17 @@ def test_value_at_takes_only_int_m(m):
     with pytest.raises(TypeError, match="m must be an int"):
         g.value_at(m)
     assert g.poly(Fraction(5, 2)) == Fraction(1225, 64)  # the extension stays on poly
+
+
+@pytest.mark.parametrize("m", [2.5, "3", None, -1])
+def test_value_at_and_power_sum_value_check_m_alike(m):
+    # one check of the count serves both routes: same exception, same message
+    raised = []
+    for call in (sum_polynomial(X).value_at, lambda m: power_sum_value(3, m)):
+        with pytest.raises((TypeError, ValueError)) as info:
+            call(m)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
 
 
 def test_sum_range_examples():
