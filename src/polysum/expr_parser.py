@@ -24,12 +24,16 @@ Exactly one variable may appear; the first identifier fixes its name.
 Syntax errors raise ParseError with the byte offset into the UTF-8 encoding
 of the source, counted only when raised.  Trees are shallow (see MAX_NESTING),
 so lower and evaluate in tests/reference.py (not shipped) recurse once a level.
+lower reads the terms of a sum that are monomials (c, x, x^k, c*x^k and
+their negations) into one int row in one pass, so a dense sum of c/d*x^k
+terms of degree n lowers in O(n) ints; every other term lowers on its own.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import lcm
 
 from .poly import Polynomial, Record, add_all
 
@@ -323,8 +327,34 @@ def parse(src: str) -> PolyExpr:
 _X = Polynomial.from_numerators((0, 1))
 
 
+def _monomial(e: PolyExpr) -> tuple[int, int, int] | None:
+    """(k, a, d) if e is a/d*x^k in one of the shapes c, x, x^k, c*x^k (c a
+    literal or the Neg of one, as a leading "-3*x^2" parses) or the Neg of
+    one of these; else None."""
+    sign, a, d = 1, 1, 1
+    if isinstance(e, Neg):
+        sign, e = -1, e.operand
+    if isinstance(e, Lit):
+        return 0, sign * e.value.numerator, e.value.denominator
+    if isinstance(e, Mul) and len(e.factors) == 2:
+        c, e = e.factors
+        if isinstance(c, Neg):
+            sign, c = -sign, c.operand
+        if not isinstance(c, Lit):
+            return None
+        a, d = c.value.as_integer_ratio()
+    if isinstance(e, Pow) and isinstance(e.base, Var):
+        return e.exponent, sign * a, d
+    return (1, sign * a, d) if isinstance(e, Var) else None
+
+
 def lower(e: PolyExpr) -> Polynomial:
-    """Evaluate an expression tree into a Polynomial, one call per tree level."""
+    """Evaluate an expression tree into a Polynomial, one call per tree level.
+
+    The terms of an Add that _monomial reads as a/d*x^k go into one int row
+    over the lcm of their d, in one pass; each other term lowers on its own,
+    and one add_all joins the parts.  So a sum of monomials of degree n costs
+    O(n) ints, where a row per x^k would cost O(n^2)."""
     if isinstance(e, Lit):
         return Polynomial.from_numerators((e.value.numerator,), e.value.denominator)
     if isinstance(e, Var):
@@ -334,7 +364,16 @@ def lower(e: PolyExpr) -> Polynomial:
     if isinstance(e, Pow):
         return lower(e.base) ** e.exponent
     if isinstance(e, Add):
-        return add_all([lower(term) for term in e.terms])
+        monomials = list(map(_monomial, e.terms))
+        parts = [lower(term) for term, m in zip(e.terms, monomials) if m is None]
+        monomials = [m for m in monomials if m]
+        if monomials:
+            den = lcm(*[d for _, _, d in monomials])
+            row = [0] * (max([k for k, _, _ in monomials]) + 1)
+            for k, a, d in monomials:
+                row[k] += a * (den // d)
+            parts.append(Polynomial.from_numerators(row, den))
+        return add_all(parts) if len(parts) > 1 else parts[0]
     if isinstance(e, Mul):
         product = lower(e.factors[0])
         for factor in e.factors[1:]:

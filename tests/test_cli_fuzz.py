@@ -7,7 +7,9 @@ and '*' chains, runs of unary minuses and long exponent chains.  Numbers
 stay small so that a legal command does little work; the bounds on n and m
 are exercised just past their limits.  The run is derandomized, so every
 run tries the same examples.  The same expressions check that leading
-whitespace moves nothing but the offset of a parse error.
+whitespace moves nothing but the offset of a parse error, and that
+"--expr V" and "--expr=V" give the same output, also for a V that starts
+with '-'.
 """
 
 from __future__ import annotations
@@ -89,6 +91,14 @@ def sum_commands(draw):
     return argv
 
 
+def run_main(argv):
+    """main's exit code, stdout and stderr on argv."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 @settings(
     derandomize=True,
     database=None,
@@ -98,9 +108,7 @@ def sum_commands(draw):
 )
 @given(st.one_of(flag_lists(), sum_commands()))
 def test_main_exits_cleanly_on_any_input(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, _, _ = run_main(argv)
     assert code in (0, 1, 2)
 
 
@@ -128,3 +136,18 @@ def test_leading_whitespace_shifts_only_the_offset(src, r):
         assert shifted == (plain[0], plain[1] + 3 * r)
     else:
         assert shifted == plain
+
+
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=150,
+    deadline=timedelta(seconds=3),
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(expressions, st.booleans())
+def test_bare_expr_takes_the_next_argument(src, ranged):
+    tail = ["--lo", "1", "--hi", "3"] if ranged else []
+    for mode in ([], ["--json"]):
+        attached = run_main([*mode, "sum", f"--expr={src}", *tail])
+        assert run_main([*mode, "sum", "--expr", src, *tail]) == attached

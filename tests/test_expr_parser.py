@@ -5,8 +5,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial, random_rational
+from polysum import poly
 from polysum.expr_parser import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -405,3 +407,82 @@ def test_lowering_agrees_with_direct_interpretation():
         for _ in range(5):
             t = random_rational(rng, 12, 12)
             assert lowered(t) == evaluate(tree, t)
+
+
+# Terms of a sum as (text, degree bound).  The monomial shapes, which lower
+# reads into one int row, are a literal, x, x^0, x^1, x^k, c*x^k and the
+# implicit c x^k; the others lower term by term.
+literals = st.one_of(
+    st.integers(0, 9).map(Fraction),
+    st.builds(Fraction, st.integers(0, 10**25), st.integers(1, 10**25)),
+)
+powers = st.integers(0, 6)
+monomial_terms = st.one_of(
+    literals.map(lambda c: (str(c), 0)),
+    st.sampled_from([("x", 1), ("x^0", 0), ("x^1", 1)]),
+    powers.map(lambda k: (f"x^{k}", k)),
+    st.tuples(literals, powers).map(lambda t: (f"{t[0]}*x^{t[1]}", t[1])),
+    st.tuples(literals, powers).map(lambda t: (f"{t[0]}x^{t[1]}", t[1])),
+)
+other_terms = st.sampled_from(
+    [("(x+1)^3", 3), ("2*x*x", 2), ("(x-1/2)*(x+3)", 2), ("--x", 1), ("(x^2)^2", 4), ("x*3", 1)]
+)
+
+
+@st.composite
+def sums(draw):
+    """A sum of two or more terms, each after the first added or subtracted,
+    perhaps a leading '-', and perhaps some terms again with the other sign."""
+    terms = draw(st.lists(st.one_of(monomial_terms, other_terms), min_size=2, max_size=8))
+    signs = [draw(st.sampled_from(["-", ""]))] + draw(
+        st.lists(st.sampled_from(["+", "-"]), min_size=len(terms) - 1, max_size=len(terms) - 1)
+    )
+    for i in draw(st.lists(st.integers(0, len(terms) - 1), max_size=3)):
+        terms.append(terms[i])
+        signs.append("+" if signs[i] == "-" else "-")
+    src = "".join(f" {sign} {text}" for sign, (text, _) in zip(signs, terms))
+    return src.replace(" ", "", 2), max(degree for _, degree in terms)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(sums())
+def test_sums_of_monomials_lower_exactly(case):
+    src, degree = case
+    tree = parse(src)
+    assert isinstance(tree, Add)
+    lowered = lower(tree)
+    assert Polynomial.from_numerators(lowered.numerators, lowered.denominator) == lowered
+    for t in range(-1, degree + 1):  # degree + 2 points fix a polynomial of that degree
+        assert lowered(t) == evaluate(tree, t)
+
+
+@pytest.mark.parametrize(
+    ("src", "numerators", "denominator"),
+    [
+        ("x^3 - x^3", (), 1),
+        ("x^5 + 2x - x^5", (0, 2), 1),  # the top power cancels
+        ("-3/4*x^2 + x - 1", (-4, 4, -3), 4),  # Mul((Neg(Lit), Pow)) leads
+        (f"-x^2 - 3x + x^0 - x^1 + 1/{10**25}", (10**25 + 1, -4 * 10**25, -(10**25)), 10**25),
+    ],
+)
+def test_sum_of_monomials_is_canonical(src, numerators, denominator):
+    lowered = lower(parse(src))
+    assert (lowered.numerators, lowered.denominator) == (numerators, denominator)
+
+
+def test_sum_of_monomials_takes_no_power_or_product(monkeypatch):
+    rng = random.Random(26)
+    coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(1001)]
+    coeffs[-1] = -abs(coeffs[-1])  # the leading term is "-c*x^1000"
+    text = "".join(
+        f" {'-' if c < 0 else '+'} {abs(c)}*x^{k}" if k else f" {'-' if c < 0 else '+'} {abs(c)}"
+        for k, c in reversed(list(enumerate(coeffs)))
+    )
+    tree = parse(text.replace(" ", "", 2))
+
+    def refuse(*args):
+        raise AssertionError("a monomial term lowered through a power or a product")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(poly, "_product", refuse)
+    assert lower(tree) == Polynomial(coeffs)
