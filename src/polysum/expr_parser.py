@@ -342,7 +342,7 @@ def _monomial(e: PolyExpr) -> tuple[int, int, int] | None:
             sign, c = -sign, c.operand
         if not isinstance(c, Lit):
             return None
-        a, d = c.value.as_integer_ratio()
+        a, d = c.value.numerator, c.value.denominator
     if isinstance(e, Pow) and isinstance(e.base, Var):
         return e.exponent, sign * a, d
     return (1, sign * a, d) if isinstance(e, Var) else None
@@ -366,10 +366,11 @@ def lower(e: PolyExpr) -> Polynomial:
     if isinstance(e, Add):
         monomials = list(map(_monomial, e.terms))
         parts = [lower(term) for term, m in zip(e.terms, monomials) if m is None]
-        monomials = [m for m in monomials if m]
+        monomials = list(filter(None, monomials))
         if monomials:
-            den = lcm(*[d for _, _, d in monomials])
-            row = [0] * (max([k for k, _, _ in monomials]) + 1)
+            ks, _, dens = zip(*monomials)
+            den = lcm(*dens)
+            row = [0] * (max(ks) + 1)
             for k, a, d in monomials:
                 row[k] += a * (den // d)
             parts.append(Polynomial.from_numerators(row, den))
