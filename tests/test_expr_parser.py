@@ -472,12 +472,11 @@ def test_sum_of_monomials_is_canonical(src, numerators, denominator):
 
 def test_sum_of_monomials_takes_no_power_or_product(monkeypatch):
     rng = random.Random(26)
-    coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in range(1001)]
+    coeffs = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(1001)]
     coeffs[-1] = -abs(coeffs[-1])  # the leading term is "-c*x^1000"
-    text = "".join(
-        f" {'-' if c < 0 else '+'} {abs(c)}*x^{k}" if k else f" {'-' if c < 0 else '+'} {abs(c)}"
-        for k, c in reversed(list(enumerate(coeffs)))
-    )
+    signs = ["-" if c < 0 else "+" for c in coeffs]
+    bodies = [f"{abs(c)}*x^{k}" if k else str(abs(c)) for k, c in enumerate(coeffs)]
+    text = "".join(f" {sign} {body}" for sign, body in zip(signs[::-1], bodies[::-1]))
     tree = parse(text.replace(" ", "", 2))
 
     def refuse(*args):
