@@ -8,8 +8,9 @@ exact-arithmetic values are decimal strings; a usage error or a failed
 self-check (an ArithmeticError) also prints {"error": message} on stdout,
 with the byte "offset" when --expr failed to parse.  Exit codes: 0 success,
 1 verification failure or failed self-check, 2 usage or parse error.  The
-integer flags take an optional sign and ASCII digits, and a bare --expr
-takes the next argument as its value, even one that starts with '-'.
+integer flags take an optional sign and ASCII digits, and a bare --expr,
+or an abbreviation of it that argparse accepts, takes the next argument as
+its value, even one that starts with '-'.
 verify makes one pass over n, and each selected suite checks each n; the
 identities suite is powersum's weights, which check a_n and S_n(1).  A
 one-shot process imports json only to write JSON.
@@ -268,9 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    while "--expr" in argv[:-1]:  # "--expr V" as "--expr=V", so a V like "-x^2" is no option
-        i = argv.index("--expr")
-        argv[i : i + 2] = [f"--expr={argv[i + 1]}"]
+    i = 0  # "--expr V" as "--expr=V", so a V like "-x^2" is no option; also --e, --ex, --exp
+    while i < len(argv) - 1:
+        if len(argv[i]) > 2 and "--expr".startswith(argv[i]):
+            argv[i : i + 2] = [f"{argv[i]}={argv[i + 1]}"]
+        i += 1
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:

@@ -9,6 +9,8 @@ Each one reaches its answer by a different road from the code it checks:
   (basis.from_rising_basis builds the products incrementally).
 - solve_interpolation_system solves the triangular system by forward
   substitution (basis.to_rising_basis uses synthetic division).
+- to_rising_row_stepwise and from_rising_row_stepwise are the basis kernels
+  one linear factor per step (basis takes two per pass).
 - coefficient_from_sum is the paper's literal sum for a_i, double_sum_closed_form
   assembles S_n from the binomial double sum, and faulhaber_bernoulli_oracle
   uses the classical Bernoulli-number formula (powersum).
@@ -30,6 +32,8 @@ __all__ = [
     "rising_factorial_basis_poly",
     "sum_rising_factorial",
     "solve_interpolation_system",
+    "to_rising_row_stepwise",
+    "from_rising_row_stepwise",
     "coefficient_from_sum",
     "double_sum_closed_form",
     "bernoulli_numbers",
@@ -95,6 +99,26 @@ def solve_interpolation_system(f: Polynomial) -> tuple[Fraction, ...]:
             diagonal = -diagonal
         weights.append((f(-j) - acc) / diagonal)
     return tuple(weights)
+
+
+def to_rising_row_stepwise(f: Polynomial) -> list[int]:
+    """basis.to_rising_row by synthetic division of f's numerators in place,
+    one factor (x + i) at a time; the remainder of each is row[i]."""
+    row = list(f.numerators)
+    for i in range(1, len(row)):
+        for j in range(len(row) - 2, i - 1, -1):  # divide row[i:] by (x + i)
+            row[j] -= i * row[j + 1]
+    return row
+
+
+def from_rising_row_stepwise(row: list[int], den: int) -> Polynomial:
+    """basis.from_rising_row one factor at a time, acc <- acc * (x + i) + row[i]
+    for i = n, ..., 0: the Stirling recurrence new[j] = old[j-1] + i*old[j]."""
+    acc: list[int] = []
+    for i in range(len(row) - 1, -1, -1):
+        acc = [a + i * b for a, b in zip([0, *acc], [*acc, 0])]
+        acc[0] += row[i]
+    return Polynomial.from_numerators(acc, den)
 
 
 def coefficient_from_sum(n: int, i: int) -> Fraction:

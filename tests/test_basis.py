@@ -5,10 +5,24 @@ from fractions import Fraction
 from math import comb as binomial
 from math import factorial
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from conftest import random_polynomial, random_rational
-from polysum.basis import alternating_sums, from_rising_basis, to_rising_basis
+from polysum.basis import (
+    alternating_sums,
+    from_rising_basis,
+    from_rising_row,
+    to_rising_basis,
+    to_rising_row,
+)
 from polysum.poly import Polynomial, over_common_denominator
-from reference import rising_factorial_basis_poly, solve_interpolation_system
+from reference import (
+    from_rising_row_stepwise,
+    rising_factorial_basis_poly,
+    solve_interpolation_system,
+    to_rising_row_stepwise,
+)
 
 X_SQUARED = Polynomial((0, 0, 1))
 
@@ -94,6 +108,37 @@ def test_to_rising_basis_of_an_integer_polynomial():
         assert from_rising_basis(r) == f
         if f.degree <= 40:
             assert r == solve_interpolation_system(f)
+
+
+@pytest.mark.parametrize("length", range(31))
+@settings(derandomize=True, database=None, max_examples=20)
+@given(st.data())
+def test_two_factor_kernels_match_the_one_factor_reference(length, data):
+    # every length, so both parities of the count of factors, and ints up to 2^200
+    entry = st.integers(-(2**200), 2**200)
+    row = data.draw(st.lists(entry, min_size=length, max_size=length))
+    den = data.draw(st.integers(1, 10**6))
+    assert from_rising_row(row, den) == from_rising_row_stepwise(row, den)
+    if row:
+        row[-1] = row[-1] or 1  # a nonzero top keeps the length through Polynomial
+    f = Polynomial.from_numerators(row, den)
+    assert to_rising_row(f) == to_rising_row_stepwise(f)
+    assert to_rising_row(from_rising_row(row, 1)) == row
+
+
+@pytest.mark.parametrize(
+    "row, numerators",
+    [
+        ([], ()),
+        ([7], (7,)),
+        ([7, 5], (7, 5)),  # 7 + 5x
+        ([7, 5, 3], (7, 8, 3)),  # 7 + x(5 + 3(x + 1))
+    ],
+)
+def test_short_rows_through_both_kernels(row, numerators):
+    assert from_rising_row(row, 1).numerators == numerators
+    assert from_rising_row(row, 1) == from_rising_row_stepwise(row, 1)
+    assert to_rising_row(Polynomial.from_numerators(numerators)) == row
 
 
 def test_from_rising_basis_examples():

@@ -9,7 +9,7 @@ are exercised just past their limits.  The run is derandomized, so every
 run tries the same examples.  The same expressions check that leading
 whitespace moves nothing but the offset of a parse error, and that
 "--expr V" and "--expr=V" give the same output, also for a V that starts
-with '-'.
+with '-' and for the abbreviations --e, --ex and --exp.
 """
 
 from __future__ import annotations
@@ -145,9 +145,10 @@ def test_leading_whitespace_shifts_only_the_offset(src, r):
     deadline=timedelta(seconds=3),
     suppress_health_check=[HealthCheck.too_slow],
 )
-@given(expressions, st.booleans())
-def test_bare_expr_takes_the_next_argument(src, ranged):
+@given(expressions, st.booleans(), st.sampled_from(["--expr", "--exp", "--ex", "--e"]))
+def test_bare_expr_takes_the_next_argument(src, ranged, spelling):
+    # argparse reads each abbreviation of --expr as --expr
     tail = ["--lo", "1", "--hi", "3"] if ranged else []
     for mode in ([], ["--json"]):
         attached = run_main([*mode, "sum", f"--expr={src}", *tail])
-        assert run_main([*mode, "sum", "--expr", src, *tail]) == attached
+        assert run_main([*mode, "sum", spelling, src, *tail]) == attached
