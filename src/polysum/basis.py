@@ -74,11 +74,11 @@ def to_rising_row(f: Polynomial) -> list[int]:
     row = list(f.numerators)
     for i in range(1, len(row) - 1, 2):
         b, c = 2 * i + 1, i * (i + 1)
-        hi, lo = row[-1], 0
+        q1, q2 = row[-1], 0  # row[j+1] and row[j+2], the quotient so far
         for j in range(len(row) - 2, i, -1):
-            hi, lo = row[j] - b * hi - c * lo, hi
-            row[j] = hi
-        row[i] -= c * lo + i * hi
+            q1, q2 = row[j] - b * q1 - c * q2, q1
+            row[j] = q1
+        row[i] -= c * q2 + i * q1
     return row
 
 

@@ -137,7 +137,6 @@ def test_two_factor_kernels_match_the_one_factor_reference(length, data):
 )
 def test_short_rows_through_both_kernels(row, numerators):
     assert from_rising_row(row, 1).numerators == numerators
-    assert from_rising_row(row, 1) == from_rising_row_stepwise(row, 1)
     assert to_rising_row(Polynomial.from_numerators(numerators)) == row
 
 
