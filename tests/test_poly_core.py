@@ -147,6 +147,17 @@ def test_product_matches_schoolbook(a, b):
 @example([], 3)
 @example([Fraction(-5, 12)], 9)
 @example([3, Fraction(-1, 2), 0, 7, Fraction(2, 9), 1], 2)
+# two-term bases, Miller's r = 1 case: signs and denominators on a0 and a1,
+# low zeros before the two terms, and the exponents 0, 1, 2 and 24
+@example([Fraction(-5, 12), 3], 7)
+@example([Fraction(7, 3), Fraction(-11, 4)], 24)
+@example([-6, Fraction(-9, 10)], 13)
+@example([0, 0, Fraction(-3, 7), 2], 9)
+@example([0, 5, -(2**40)], 24)
+@example([Fraction(-5, 12), 3], 0)
+@example([Fraction(-5, 12), 3], 1)
+@example([Fraction(-5, 12), 3], 2)
+@example([-(2**8), 2**8 - 1], 24)
 def test_power_matches_repeated_schoolbook(a, e):
     expected = [Fraction(1)]
     for _ in range(e):
