@@ -80,10 +80,10 @@ class ParseError(ValueError):
 #
 # The parser builds every node of a tree, a few hundred for a dense summand of
 # degree 60, so each class has its own __init__ and sets its slots through the
-# slot descriptors' __set__ (bound below the classes): about 0.2 us a node,
-# where Record.__init__'s generic path, packing the arguments and zipping them
-# with __slots__, takes 0.6-1.2 us.  Python's own signature checks then reject a
-# missing, extra, repeated or unknown field.
+# slot descriptors' __set__ (bound below the classes).  On Python 3.11.7 that
+# is about 0.2 us a node, against 0.6-1.2 us through Record.__init__'s generic
+# path, which packs the arguments and zips them with __slots__.  Python's own
+# signature checks reject a missing, extra, repeated or unknown field.
 
 
 class Lit(Record):
