@@ -18,9 +18,9 @@ point the big products are balanced.  A power strips the base's low-order
 zeros, so the base is x^k * a with a(0) != 0, computes a^e by J. C. P.
 Miller's recurrence on the int numerators, one coefficient from the ones
 before it by exact divisions, and shifts the result by k*e over the
-denominator to the e.  A two-term a, a binomial such as x + c, takes the
-recurrence's one-term case: each coefficient is the one before it times one
-small int, divided by another.
+denominator to the e.  Each coefficient sums one product per nonzero term
+of a, so a two-term a, a binomial such as x + c, costs one bigint product
+and one division a coefficient.
 
 A product first strips each factor's run of low-order zero coefficients and
 shifts the result back afterwards, so x^k and c*x^k are one-term rows.  The
@@ -386,20 +386,19 @@ def _miller(a: Sequence[int], e: int) -> list[int]:
         c_j = sum_{i=1..min(j,r)} ((e+1)i - j) a_i c_{j-i} / (j a_0),
 
     the coefficients of x^(j-1) on the two sides of a P' = e a' P, P = a^e.
-    Each c_j is an int, so each division is exact.  A two-term a, as x + c and
-    2x - 3 are, takes the r = 1 case, c_j = c_(j-1) (e+1-j) a_1 / (j a_0): one
-    product and one division per coefficient, with no list to build and sum."""
+    Each c_j is an int, so each division is exact.  The sum runs over a's
+    nonzero terms in a plain loop, with no list built: for a two-term a, as
+    x + c and 2x - 3 are, that is the r = 1 case, one product and one
+    division per coefficient."""
     a0 = a[0]
-    c = [a0**e]
-    if len(a) == 2:
-        a1, cj = a[1], c[0]
-        for j in range(1, e + 1):
-            cj = cj * ((e + 1 - j) * a1) // (j * a0)  # one bigint product, not two
-            c.append(cj)
-        return c
     terms = [(i, ai) for i, ai in enumerate(a) if i and ai]
+    c = [a0**e]
     for j in range(1, (len(a) - 1) * e + 1):
-        total = sum([((e + 1) * i - j) * ai * c[j - i] for i, ai in terms if i <= j])
+        total = 0
+        for i, ai in terms:
+            if i > j:
+                break
+            total += ((e + 1) * i - j) * ai * c[j - i]  # one bigint product
         c.append(total // (j * a0))
     return c
 
