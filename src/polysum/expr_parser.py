@@ -81,7 +81,7 @@ class ParseError(ValueError):
 # The parser builds every node of a tree, a few hundred for a dense summand of
 # degree 60, so each class has its own __init__ and sets its slots with
 # object.__setattr__, as Polynomial does.  On Python 3.11.7 that is about
-# 0.3 us for a one-field node and 0.5 us for a Pow, against 0.8-1.0 us through
+# 0.3 us for a one-field node and 0.5 us for a Pow, against 0.7-0.9 us through
 # Record.__init__'s generic path, which packs the arguments and zips them with
 # __slots__.  Python's own signature checks reject a missing, extra, repeated
 # or unknown field.
