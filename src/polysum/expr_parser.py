@@ -24,9 +24,10 @@ Exactly one variable may appear; the first identifier fixes its name.
 Syntax errors raise ParseError with the byte offset into the UTF-8 encoding
 of the source, counted only when raised.  Trees are shallow (see MAX_NESTING),
 so lower and evaluate in tests/reference.py (not shipped) recurse once a level.
-lower reads the terms of a sum that are monomials (c, x, x^k, c*x^k and
-their negations) into one int row in one pass, so a dense sum of c/d*x^k
-terms of degree n lowers in O(n) ints; every other term lowers on its own.
+lower reads every monomial (c, x, x^k, c*x^k and their negations), alone or
+in a sum, into an int row with no power or product taken: the monomial terms
+of a sum into one row in one pass, so a dense sum of c/d*x^k terms of degree
+n lowers in O(n) ints.  Only what is not a monomial lowers by its node.
 """
 
 from __future__ import annotations
@@ -285,8 +286,7 @@ class _Parser:
         """One or more '^'-separated integer literals, read in a loop and folded
         right to left (x^2^3 = x^(2^3)).  A literal or fold past MAX_DEGREE is
         an error at its token, so no fold exceeds MAX_DEGREE ** MAX_DEGREE."""
-        first = self._index  # chain literal k is token first + 2k
-        chain: list[int] = []
+        chain: list[tuple[int, int]] = []  # each literal's value and token index
         while True:
             at = self._index
             text = self._texts[at]
@@ -299,19 +299,14 @@ class _Parser:
             if self._kind != "int":
                 raise self._expected("a literal nonnegative integer exponent")
             self._index, self._kind = next(self._tokens)
-            chain.append(self._bounded_exponent(self._int(text, at), at))
+            chain.append((self._bounded(self._int(text, at), at, "exponent"), at))
             if self._kind != "^":
                 break
             self._index, self._kind = next(self._tokens)
-        value = chain.pop()
-        while chain:  # popped first, the fold's base is chain literal len(chain)
-            value = self._bounded_exponent(chain.pop() ** value, first + 2 * len(chain))
-        return value
-
-    def _bounded_exponent(self, value: int, at: int) -> int:
-        """value, or a ParseError at token index at if it exceeds MAX_DEGREE."""
-        if value > MAX_DEGREE:
-            raise self._error(f"exponent exceeds the maximum degree {MAX_DEGREE}", at)
+        value, _ = chain.pop()
+        while chain:  # a fold is an error at its base's token
+            base, at = chain.pop()
+            value = self._bounded(base**value, at, "exponent")
         return value
 
     def _literal_value(self, at: int) -> Fraction:
@@ -324,11 +319,13 @@ class _Parser:
             raise self._error(f"zero denominator in rational literal {text!r}", at)
         return Fraction(num, den)
 
-    def _bounded(self, degree: int, at: int) -> int:
-        """degree, or a ParseError at token index at if it exceeds MAX_DEGREE."""
-        if degree > MAX_DEGREE:
-            raise self._error(f"degree bound {degree} exceeds the maximum degree {MAX_DEGREE}", at)
-        return degree
+    def _bounded(self, value: int, at: int, what: str = "degree bound {}") -> int:
+        """value, or a ParseError at token index at, naming what, if it exceeds
+        MAX_DEGREE.  A "{}" in what takes the value; an exponent's message has
+        none, since a fold can be thousands of digits long."""
+        if value > MAX_DEGREE:
+            raise self._error(f"{what.format(value)} exceeds the maximum degree {MAX_DEGREE}", at)
+        return value
 
     def _int(self, digits: str, at: int) -> int:
         """int() of the digits of token at; past Python's int-string limit, a ParseError."""
@@ -349,9 +346,6 @@ def parse(src: str) -> PolyExpr:
     if parser._kind != "eof":
         raise parser._expected("end of input")
     return result
-
-
-_X = Polynomial.from_numerators((0, 1))
 
 
 def _monomial(e: PolyExpr) -> tuple[int, int, int] | None:
@@ -378,14 +372,17 @@ def _monomial(e: PolyExpr) -> tuple[int, int, int] | None:
 def lower(e: PolyExpr) -> Polynomial:
     """Evaluate an expression tree into a Polynomial, one call per tree level.
 
-    The terms of an Add that _monomial reads as a/d*x^k go into one int row
-    over the lcm of their d, in one pass; each other term lowers on its own,
-    and one add_all joins the parts.  So a sum of monomials of degree n costs
-    O(n) ints, where a row per x^k would cost O(n^2)."""
-    if isinstance(e, Lit):
-        return Polynomial.from_numerators((e.value.numerator,), e.value.denominator)
-    if isinstance(e, Var):
-        return _X
+    Every monomial, a node that _monomial reads as a/d*x^k, goes into an int
+    row with no power or product taken, alone or in a sum.  Alone it is a
+    one-entry row.  The monomial terms of an Add go into one row over the
+    lcm of their d, in one pass, so a sum of monomials of degree n costs
+    O(n) ints, where a row per x^k would cost O(n^2).  Only what is not a
+    monomial lowers by its node; a sum's other terms lower on their own,
+    and one add_all joins them to the row."""
+    m = _monomial(e)
+    if m is not None:
+        k, a, d = m
+        return Polynomial.from_numerators([0] * k + [a], d)
     if isinstance(e, Neg):
         return -lower(e.operand)
     if isinstance(e, Pow):

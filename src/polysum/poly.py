@@ -324,10 +324,9 @@ def add_all(terms: Sequence[Polynomial]) -> Polynomial:
     their rows rescaled to it and accumulated into one int row, one reduction."""
     den = lcm(*[p.denominator for p in terms])
     acc = [0] * max([len(p.numerators) for p in terms], default=0)
-    for p in terms:
-        if p.numerators:  # add from the first nonzero, so x^k costs one add
-            k, n = _low_zeros(p.numerators), len(p.numerators)
-            acc[k:n] = map(add, acc[k:n], _scaled(p.numerators[k:], den // p.denominator))
+    for p in terms:  # each row whole: lower puts a sum's monomials, x^k too, in one row
+        n = len(p.numerators)
+        acc[:n] = map(add, acc[:n], _scaled(p.numerators, den // p.denominator))
     return _canonical(acc, den)
 
 

@@ -1,7 +1,9 @@
 """Fuzz of cli.main over argument lists and expression text.
 
 Whatever the input, main returns exit code 0, 1 or 2 without raising, and
-each example finishes within the deadline.  The expressions mix random text
+each example finishes within the deadline.  An exit 2 prints nothing on
+stdout, or exactly its one JSON error object, which repeats the error line
+on stderr.  The expressions mix random text
 with the shapes that once overflowed the stack: deep nests, long '+', '-'
 and '*' chains, runs of unary minuses and long exponent chains.  Numbers
 stay small so that a legal command does little work; the bounds on n and m
@@ -16,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 from datetime import timedelta
 
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -108,8 +111,13 @@ def run_main(argv):
 )
 @given(st.one_of(flag_lists(), sum_commands()))
 def test_main_exits_cleanly_on_any_input(argv):
-    code, _, _ = run_main(argv)
+    code, out, err = run_main(argv)
     assert code in (0, 1, 2)
+    if code == 2 and out:  # argparse's own errors leave stdout empty
+        error = json.loads(out)  # one JSON value, and nothing after it
+        assert isinstance(error, dict) and "error" in error
+        assert set(error) <= {"error", "offset"}
+        assert err == f"error: {error['error']}\n"
 
 
 def parsed(src: str):

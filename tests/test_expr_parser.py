@@ -456,6 +456,16 @@ def test_sums_of_monomials_lower_exactly(case):
         assert lowered(t) == evaluate(tree, t)
 
 
+# monomials written alone, outside any sum, with their rows
+LONE_MONOMIALS = [
+    ("x^1000", (0,) * 1000 + (1,), 1),
+    ("-3/4*x^2", (0, 0, -3), 4),  # Mul((Neg(Lit), Pow))
+    ("2x^5", (0, 0, 0, 0, 0, 2), 1),  # implicit Mul
+    ("-x", (0, -1), 1),
+    ("7/3", (7,), 3),
+]
+
+
 @pytest.mark.parametrize(
     ("src", "numerators", "denominator"),
     [
@@ -463,6 +473,8 @@ def test_sums_of_monomials_lower_exactly(case):
         ("x^5 + 2x - x^5", (0, 2), 1),  # the top power cancels
         ("-3/4*x^2 + x - 1", (-4, 4, -3), 4),  # Mul((Neg(Lit), Pow)) leads
         (f"-x^2 - 3x + x^0 - x^1 + 1/{10**25}", (10**25 + 1, -4 * 10**25, -(10**25)), 10**25),
+        # a monomial alone is a row of its own
+        *LONE_MONOMIALS,
     ],
 )
 def test_sum_of_monomials_is_canonical(src, numerators, denominator):
@@ -470,7 +482,18 @@ def test_sum_of_monomials_is_canonical(src, numerators, denominator):
     assert (lowered.numerators, lowered.denominator) == (numerators, denominator)
 
 
-def test_sum_of_monomials_takes_no_power_or_product(monkeypatch):
+@pytest.fixture
+def no_power_or_product(monkeypatch):
+    """Make Polynomial.__pow__ and poly._product raise."""
+
+    def refuse(*args):
+        raise AssertionError("a monomial lowered through a power or a product")
+
+    monkeypatch.setattr(Polynomial, "__pow__", refuse)
+    monkeypatch.setattr(poly, "_product", refuse)
+
+
+def test_sum_of_monomials_takes_no_power_or_product(no_power_or_product):
     rng = random.Random(26)
     coeffs = [Fraction(rng.randint(-9, 9) or 1, rng.randint(1, 9)) for _ in range(1001)]
     coeffs[-1] = -abs(coeffs[-1])  # the leading term is "-c*x^1000"
@@ -478,10 +501,10 @@ def test_sum_of_monomials_takes_no_power_or_product(monkeypatch):
     bodies = [f"{abs(c)}*x^{k}" if k else str(abs(c)) for k, c in enumerate(coeffs)]
     text = "".join(f" {sign} {body}" for sign, body in zip(signs[::-1], bodies[::-1]))
     tree = parse(text.replace(" ", "", 2))
-
-    def refuse(*args):
-        raise AssertionError("a monomial term lowered through a power or a product")
-
-    monkeypatch.setattr(Polynomial, "__pow__", refuse)
-    monkeypatch.setattr(poly, "_product", refuse)
     assert lower(tree) == Polynomial(coeffs)
+
+
+@pytest.mark.parametrize(("src", "numerators", "denominator"), LONE_MONOMIALS)
+def test_monomial_alone_takes_no_power_or_product(no_power_or_product, src, numerators, denominator):
+    lowered = lower(parse(src))
+    assert (lowered.numerators, lowered.denominator) == (numerators, denominator)
