@@ -320,9 +320,8 @@ class _Parser:
         return Fraction(num, den)
 
     def _bounded(self, value: int, at: int, what: str = "degree bound {}") -> int:
-        """value, or a ParseError at token index at, naming what, if it exceeds
-        MAX_DEGREE.  A "{}" in what takes the value; an exponent's message has
-        none, since a fold can be thousands of digits long."""
+        """value, or a ParseError at token index at if it exceeds MAX_DEGREE;
+        the message names what, whose "{}" takes the value."""
         if value > MAX_DEGREE:
             raise self._error(f"{what.format(value)} exceeds the maximum degree {MAX_DEGREE}", at)
         return value
@@ -372,13 +371,12 @@ def _monomial(e: PolyExpr) -> tuple[int, int, int] | None:
 def lower(e: PolyExpr) -> Polynomial:
     """Evaluate an expression tree into a Polynomial, one call per tree level.
 
-    Every monomial, a node that _monomial reads as a/d*x^k, goes into an int
-    row with no power or product taken, alone or in a sum.  Alone it is a
-    one-entry row.  The monomial terms of an Add go into one row over the
-    lcm of their d, in one pass, so a sum of monomials of degree n costs
-    O(n) ints, where a row per x^k would cost O(n^2).  Only what is not a
-    monomial lowers by its node; a sum's other terms lower on their own,
-    and one add_all joins them to the row."""
+    A monomial, a node that _monomial reads as a/d*x^k, becomes an int row
+    with no power or product taken: alone, its one-entry row; in a sum, one
+    row over the lcm of the d of all the sum's monomial terms, built in one
+    pass, so a sum of monomials of degree n costs O(n) ints, not O(n^2).
+    Other nodes lower by their kind, and one add_all joins a sum's other
+    terms to its row."""
     m = _monomial(e)
     if m is not None:
         k, a, d = m

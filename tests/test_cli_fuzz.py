@@ -3,15 +3,15 @@
 Whatever the input, main returns exit code 0, 1 or 2 without raising, and
 each example finishes within the deadline.  An exit 2 prints nothing on
 stdout, or exactly its one JSON error object, which repeats the error line
-on stderr.  The expressions mix random text
-with the shapes that once overflowed the stack: deep nests, long '+', '-'
-and '*' chains, runs of unary minuses and long exponent chains.  Numbers
-stay small so that a legal command does little work; the bounds on n and m
-are exercised just past their limits.  The run is derandomized, so every
-run tries the same examples.  The same expressions check that leading
-whitespace moves nothing but the offset of a parse error, and that
-"--expr V" and "--expr=V" give the same output, also for a V that starts
-with '-' and for the abbreviations --e, --ex and --exp.
+on stderr.  The expressions mix random text with the shapes that once
+overflowed the stack: deep nests, long '+', '-' and '*' chains, runs of
+unary minuses and long exponent chains.  Numbers stay small so that a legal
+command does little work; the bounds on n and m are exercised just past
+their limits.  The run is derandomized, so every run tries the same
+examples.  The same expressions check that leading whitespace moves nothing
+but the offset of a parse error, and that "--expr V" and "--expr=V" give the
+same output, also for a V that starts with '-' and for the abbreviations
+--e, --ex and --exp.
 """
 
 from __future__ import annotations

@@ -473,7 +473,6 @@ LONE_MONOMIALS = [
         ("x^5 + 2x - x^5", (0, 2), 1),  # the top power cancels
         ("-3/4*x^2 + x - 1", (-4, 4, -3), 4),  # Mul((Neg(Lit), Pow)) leads
         (f"-x^2 - 3x + x^0 - x^1 + 1/{10**25}", (10**25 + 1, -4 * 10**25, -(10**25)), 10**25),
-        # a monomial alone is a row of its own
         *LONE_MONOMIALS,
     ],
 )
@@ -505,6 +504,8 @@ def test_sum_of_monomials_takes_no_power_or_product(no_power_or_product):
 
 
 @pytest.mark.parametrize(("src", "numerators", "denominator"), LONE_MONOMIALS)
-def test_monomial_alone_takes_no_power_or_product(no_power_or_product, src, numerators, denominator):
+def test_monomial_alone_takes_no_power_or_product(
+    no_power_or_product, src, numerators, denominator
+):
     lowered = lower(parse(src))
     assert (lowered.numerators, lowered.denominator) == (numerators, denominator)
