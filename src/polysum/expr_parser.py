@@ -24,17 +24,17 @@ Exactly one variable may appear; the first identifier fixes its name.
 Syntax errors raise ParseError with the byte offset into the UTF-8 encoding
 of the source, counted only when raised.  Trees are shallow (see MAX_NESTING),
 so lower and evaluate in tests/reference.py (not shipped) recurse once a level.
-lower reads every monomial (c, x, x^k, c*x^k and their negations), alone or
-in a sum, into an int row with no power or product taken: the monomial terms
-of a sum into one row in one pass, so a dense sum of c/d*x^k terms of degree
-n lowers in O(n) ints.  Only what is not a monomial lowers by its node.
+lower reads every node as a sum of terms, an Add's or the node alone, and
+each monomial term (c, x, x^k, c*x^k and their negations) as an int triple,
+with no power or product taken; poly.add_all puts the triples and the other
+terms' polynomials in one row, so a dense sum of c/d*x^k terms of degree n
+lowers in O(n) ints.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import lcm
 
 from .poly import Polynomial, Record, add_all
 
@@ -371,38 +371,31 @@ def _monomial(e: PolyExpr) -> tuple[int, int, int] | None:
 def lower(e: PolyExpr) -> Polynomial:
     """Evaluate an expression tree into a Polynomial, one call per tree level.
 
-    A monomial, a node that _monomial reads as a/d*x^k, becomes an int row
-    with no power or product taken: alone, its one-entry row; in a sum, one
-    row over the lcm of the d of all the sum's monomial terms, built in one
-    pass, so a sum of monomials of degree n costs O(n) ints, not O(n^2).
-    Other nodes lower by their kind, and one add_all joins a sum's other
-    terms to its row."""
-    m = _monomial(e)
-    if m is not None:
-        k, a, d = m
-        return Polynomial.from_numerators([0] * k + [a], d)
-    if isinstance(e, Neg):
-        return -lower(e.operand)
-    if isinstance(e, Pow):
-        return lower(e.base) ** e.exponent
-    if isinstance(e, Add):
-        monomials = list(map(_monomial, e.terms))
-        parts = [lower(term) for term, m in zip(e.terms, monomials) if m is None]
-        monomials = list(filter(None, monomials))
-        if monomials:
-            ks, _, dens = zip(*monomials)
-            den = lcm(*dens)
-            row = [0] * (max(ks) + 1)
-            for k, a, d in monomials:
-                row[k] += a * (den // d)
-            parts.append(Polynomial.from_numerators(row, den))
-        return add_all(parts) if len(parts) > 1 else parts[0]
-    if isinstance(e, Mul):
-        product = lower(e.factors[0])
-        for factor in e.factors[1:]:
-            product = product * lower(factor)
-        return product
-    raise TypeError(f"not a PolyExpr node: {e!r}")
+    e is read as a sum of terms: an Add's terms, or else e alone, and the
+    terms of a nested Add join the same loop.  Each term goes to _monomial
+    once; a monomial becomes its triple (k, a, d), with no power or product
+    taken, and anything else lowers by its kind.  One add_all sums the parts
+    and triples, so a sum of monomials of degree n costs O(n) ints; a single
+    part with no triples is returned as it is, with no second reduction."""
+    terms, parts, monomials = [e], [], []
+    for term in terms:  # a nested Add extends the list it is read from
+        m = _monomial(term)
+        if m is not None:
+            monomials.append(m)
+        elif isinstance(term, Add):
+            terms += term.terms
+        elif isinstance(term, Neg):
+            parts.append(-lower(term.operand))
+        elif isinstance(term, Pow):
+            parts.append(lower(term.base) ** term.exponent)
+        elif isinstance(term, Mul):
+            product = lower(term.factors[0])
+            for factor in term.factors[1:]:
+                product = product * lower(factor)
+            parts.append(product)
+        else:
+            raise TypeError(f"not a PolyExpr node: {term!r}")
+    return parts[0] if len(parts) == 1 and not monomials else add_all(parts, monomials)
 
 
 def parse_polynomial(src: str) -> Polynomial:

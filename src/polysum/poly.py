@@ -8,9 +8,10 @@ numerators and the denominator is 1, so equal polynomials have equal
 gives the coefficients as Fractions.  All values are immutable and all
 operations are pure.
 
-A sum of any number of terms is one routine, add_all: one lcm of the
-denominators, the rows rescaled to it and accumulated into one int row, one
-reduction; p + q is its two-term case.  Scalar multiples are int work too.
+A sum of any number of terms is one routine, add_all: polynomials and
+monomials a/d*x^k, the triples (k, a, d) that expr_parser.lower reads, go
+over one lcm of the denominators into one int row, with one reduction; p + q
+is its two-term case.  Scalar multiples are int work too.
 Evaluation at t = p/q is int work with one Fraction at the end: Horner over
 chunks of terms, as many as keep the powers of the point near 2^_CHUNK_BITS,
 then the chunk values combined pairwise (Estrin's scheme), so that at a large
@@ -319,14 +320,17 @@ def lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], i
     return [a // g * (den // d) for a, g, d in zip(nums, gs, dens)], den
 
 
-def add_all(terms: Sequence[Polynomial]) -> Polynomial:
-    """The sum of the polynomials in terms: one lcm of their denominators,
-    their rows rescaled to it and accumulated into one int row, one reduction."""
-    den = lcm(*[p.denominator for p in terms])
-    acc = [0] * max([len(p.numerators) for p in terms], default=0)
-    for p in terms:  # each row whole: lower puts a sum's monomials, x^k too, in one row
+def add_all(parts: Sequence[Polynomial], monomials: Sequence[tuple] = ()) -> Polynomial:
+    """The sum of the polynomials in parts and the monomials a/d*x^k given as
+    triples (k, a, d): one lcm of all their denominators, every row and
+    monomial rescaled to it and accumulated into one int row, one reduction."""
+    den = lcm(*[p.denominator for p in parts], *[d for _, _, d in monomials])
+    acc = [0] * max([len(p.numerators) for p in parts] + [m[0] + 1 for m in monomials], default=0)
+    for p in parts:
         n = len(p.numerators)
         acc[:n] = map(add, acc[:n], _scaled(p.numerators, den // p.denominator))
+    for k, a, d in monomials:
+        acc[k] += a * (den // d)
     return _canonical(acc, den)
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_polynomial, random_rational
-from polysum import poly
+from polysum import expr_parser, poly
 from polysum.expr_parser import (
     MAX_DEGREE,
     MAX_NESTING,
@@ -410,8 +410,9 @@ def test_lowering_agrees_with_direct_interpretation():
 
 
 # Terms of a sum as (text, degree bound).  The monomial shapes, which lower
-# reads into one int row, are a literal, x, x^0, x^1, x^k, c*x^k and the
-# implicit c x^k; the others lower term by term.
+# reads as triples, are a literal, x, x^0, x^1, x^k, c*x^k and the implicit
+# c x^k; the others lower by their kind.  A parenthesised sub-sum added to
+# the sum joins its terms; one subtracted lowers through its Neg.
 literals = st.one_of(
     st.integers(0, 9).map(Fraction),
     st.builds(Fraction, st.integers(0, 10**25), st.integers(1, 10**25)),
@@ -425,15 +426,21 @@ monomial_terms = st.one_of(
     st.tuples(literals, powers).map(lambda t: (f"{t[0]}x^{t[1]}", t[1])),
 )
 other_terms = st.sampled_from(
-    [("(x+1)^3", 3), ("2*x*x", 2), ("(x-1/2)*(x+3)", 2), ("--x", 1), ("(x^2)^2", 4), ("x*3", 1)]
+    [("(x+1)^3", 3), ("2*x*x", 2), ("(x-1/2)*(x+3)", 2), ("--x", 1), ("(x^2)^2", 4), ("x*3", 1),
+     ("-(x+1)^2", 2)]
 )
+sub_sums = st.tuples(
+    st.lists(st.one_of(monomial_terms, other_terms), min_size=2, max_size=3),
+    st.sampled_from([" + ", " - "]),
+).map(lambda t: (f"({t[1].join(text for text, _ in t[0])})", max(d for _, d in t[0])))
 
 
 @st.composite
 def sums(draw):
-    """A sum of two or more terms, each after the first added or subtracted,
-    perhaps a leading '-', and perhaps some terms again with the other sign."""
-    terms = draw(st.lists(st.one_of(monomial_terms, other_terms), min_size=2, max_size=8))
+    """A sum of two or more terms or sub-sums, each after the first added or
+    subtracted, perhaps a leading '-', and perhaps some terms again with the
+    other sign."""
+    terms = draw(st.lists(st.one_of(monomial_terms, other_terms, sub_sums), min_size=2, max_size=8))
     signs = [draw(st.sampled_from(["-", ""]))] + draw(
         st.lists(st.sampled_from(["+", "-"]), min_size=len(terms) - 1, max_size=len(terms) - 1)
     )
@@ -509,3 +516,27 @@ def test_monomial_alone_takes_no_power_or_product(
 ):
     lowered = lower(parse(src))
     assert (lowered.numerators, lowered.denominator) == (numerators, denominator)
+
+
+def test_each_term_is_read_once_and_a_sum_canonicalised_once(monkeypatch):
+    trees = [parse("x^3 + (x+1)^2 - (x-1)^5"), parse("((x+1)+(x+2))+((x+3)+(x+4))")]
+    expected = [lower(tree) for tree in trees]
+    seen, canonical = [], []
+    monomial, canonical_of = expr_parser._monomial, poly._canonical
+
+    def counted_monomial(e):
+        seen.append(id(e))
+        return monomial(e)
+
+    def counted_canonical(nums, den):
+        canonical.append(den)
+        return canonical_of(nums, den)
+
+    monkeypatch.setattr(expr_parser, "_monomial", counted_monomial)
+    monkeypatch.setattr(poly, "_canonical", counted_canonical)
+    for tree, want in zip(trees, expected):
+        seen.clear()
+        canonical.clear()
+        assert lower(tree) == want
+        assert len(seen) == len(set(seen)), "a node was passed to _monomial twice"
+    assert len(canonical) == 1  # the nested sum: one row, reduced once

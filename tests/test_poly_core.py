@@ -113,6 +113,9 @@ def test_add_sub_neg_match_reference(a, b):
     p, q = Polynomial(a), Polynomial(b)
     check(p, ref(a))
     check(p + q, ref_add(ref(a), ref(b)))
+    # b again as the monomial triples (k, a, d) that lower hands to add_all
+    triples = [(k, c.numerator, c.denominator) for k, c in enumerate(map(Fraction, b))]
+    check(poly.add_all([p], triples), ref_add(ref(a), ref(b)))
     check(p - q, ref_add(ref(a), ref_neg(ref(b))))
     check(-p, ref_neg(ref(a)))
 
