@@ -27,14 +27,15 @@ so lower and evaluate in tests/reference.py (not shipped) recurse once a level.
 lower reads every node as a sum of terms, an Add's or the node alone, and
 each monomial term (c, x, x^k, c*x^k and their negations) as an int triple,
 with no power or product taken; poly.add_all puts the triples and the other
-terms' polynomials in one row, so a dense sum of c/d*x^k terms of degree n
-lowers in O(n) ints.
+terms' polynomials, a negated one as the part (-1, p), in one row, so a
+dense sum of c/d*x^k terms of degree n lowers in O(n) ints.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from math import prod
 
 from .poly import Polynomial, Record, add_all
 
@@ -374,9 +375,9 @@ def lower(e: PolyExpr) -> Polynomial:
     e is read as a sum of terms: an Add's terms, or else e alone, and the
     terms of a nested Add join the same loop.  Each term goes to _monomial
     once; a monomial becomes its triple (k, a, d), with no power or product
-    taken, and anything else lowers by its kind.  One add_all sums the parts
-    and triples, so a sum of monomials of degree n costs O(n) ints; a single
-    part with no triples is returned as it is, with no second reduction."""
+    taken, and anything else lowers by its kind to a part (c, p), c = -1 for
+    a Neg, else 1.  One add_all sums the parts and triples, so a sum of
+    monomials of degree n costs O(n) ints; a lone part (1, p) is p itself."""
     terms, parts, monomials = [e], [], []
     for term in terms:  # a nested Add extends the list it is read from
         m = _monomial(term)
@@ -385,17 +386,16 @@ def lower(e: PolyExpr) -> Polynomial:
         elif isinstance(term, Add):
             terms += term.terms
         elif isinstance(term, Neg):
-            parts.append(-lower(term.operand))
+            parts.append((-1, lower(term.operand)))
         elif isinstance(term, Pow):
-            parts.append(lower(term.base) ** term.exponent)
-        elif isinstance(term, Mul):
-            product = lower(term.factors[0])
-            for factor in term.factors[1:]:
-                product = product * lower(factor)
-            parts.append(product)
+            parts.append((1, lower(term.base) ** term.exponent))
+        elif isinstance(term, Mul):  # lowered and multiplied left to right
+            parts.append((1, prod(map(lower, term.factors[1:]), start=lower(term.factors[0]))))
         else:
             raise TypeError(f"not a PolyExpr node: {term!r}")
-    return parts[0] if len(parts) == 1 and not monomials else add_all(parts, monomials)
+    if len(parts) == 1 and parts[0][0] == 1 and not monomials:
+        return parts[0][1]
+    return add_all(parts, monomials)
 
 
 def parse_polynomial(src: str) -> Polynomial:

@@ -8,10 +8,10 @@ numerators and the denominator is 1, so equal polynomials have equal
 gives the coefficients as Fractions.  All values are immutable and all
 operations are pure.
 
-A sum of any number of terms is one routine, add_all: polynomials and
-monomials a/d*x^k, the triples (k, a, d) that expr_parser.lower reads, go
-over one lcm of the denominators into one int row, with one reduction; p + q
-is its two-term case.  Scalar multiples are int work too.
+Every linear combination is one routine, add_all: multiples c*p, given as
+pairs (c, p), and monomials a/d*x^k, the triples (k, a, d) that
+expr_parser.lower reads, go over one lcm of the denominators into one int
+row, with one reduction.  p + q, p - q, -p and p.scale(c) are its cases.
 Evaluation at t = p/q is int work with one Fraction at the end: Horner over
 chunks of terms, as many as keep the powers of the point near 2^_CHUNK_BITS,
 then the chunk values combined pairwise (Estrin's scheme), so that at a large
@@ -167,15 +167,15 @@ class Polynomial(Record):
     def __add__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return add_all((self, other))
+        return add_all(((1, self), (1, other)))
 
     def __neg__(self) -> Polynomial:
-        return _canonical([-a for a in self.numerators], self.denominator)
+        return add_all(((-1, self),))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        return add_all(((1, self), (-1, other)))
 
     def __mul__(self, other: Polynomial | Scalar) -> Polynomial:
         if isinstance(other, Polynomial):
@@ -211,8 +211,7 @@ class Polynomial(Record):
 
     def scale(self, c: Scalar) -> Polynomial:
         """Multiply every coefficient by the scalar c."""
-        c = Fraction(c)
-        return _canonical(_scaled(self.numerators, c.numerator), self.denominator * c.denominator)
+        return add_all(((Fraction(c), self),))
 
     def __call__(self, t: Scalar) -> Fraction:
         """Evaluate at t exactly, by _at.
@@ -320,15 +319,16 @@ def lowest_terms(nums: Sequence[int], dens: Sequence[int]) -> tuple[list[int], i
     return [a // g * (den // d) for a, g, d in zip(nums, gs, dens)], den
 
 
-def add_all(parts: Sequence[Polynomial], monomials: Sequence[tuple] = ()) -> Polynomial:
-    """The sum of the polynomials in parts and the monomials a/d*x^k given as
-    triples (k, a, d): one lcm of all their denominators, every row and
-    monomial rescaled to it and accumulated into one int row, one reduction."""
-    den = lcm(*[p.denominator for p in parts], *[d for _, _, d in monomials])
-    acc = [0] * max([len(p.numerators) for p in parts] + [m[0] + 1 for m in monomials], default=0)
-    for p in parts:
-        n = len(p.numerators)
-        acc[:n] = map(add, acc[:n], _scaled(p.numerators, den // p.denominator))
+def add_all(parts: Sequence[tuple], monomials: Sequence[tuple] = ()) -> Polynomial:
+    """The sum of c*p for the pairs (c, p) in parts, c an int or Fraction, and
+    the monomials a/d*x^k, triples (k, a, d), over one lcm of the denominators
+    (c's times p's for a pair) in one int row, with one reduction."""
+    den = lcm(*[c.denominator * p.denominator for c, p in parts], *[d for _, _, d in monomials])
+    sizes = [len(p.numerators) for _, p in parts] + [m[0] + 1 for m in monomials]
+    acc = [0] * max(sizes, default=0)
+    for c, p in parts:
+        n, d = len(p.numerators), c.denominator * p.denominator
+        acc[:n] = map(add, acc[:n], _scaled(p.numerators, c.numerator * (den // d)))
     for k, a, d in monomials:
         acc[k] += a * (den // d)
     return _canonical(acc, den)

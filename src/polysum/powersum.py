@@ -30,7 +30,7 @@ from itertools import accumulate
 from operator import mul
 
 from .basis import alternating_sums
-from .poly import ONE, Polynomial, Record, join_terms, lowest_terms
+from .poly import ONE, Polynomial, Record, add_all, join_terms, lowest_terms
 from .summation import _count, close
 
 __all__ = [
@@ -105,12 +105,11 @@ class FactoredPowerSum(Record):
 
     def expand(self) -> Polynomial:
         """Multiply the factored shape out; equals power_sum_closed_form(n)."""
-        inner = Polynomial.constant(self.inner_constant)
-        product = ONE
+        parts, product = [(self.inner_constant, ONE)], ONE
         for i, c in self.inner_coeffs:
             product = product * Polynomial((i, 1))  # (m+2)...(m+i)
-            inner = inner + product.scale(c)
-        return (self.prefactor * inner).scale(self.sign)
+            parts.append((c, product))
+        return (self.prefactor * add_all(parts)).scale(self.sign)
 
     def render(self, var: str = "m") -> str:
         """Display form keeping the factored structure, e.g. for n=3:

@@ -518,25 +518,51 @@ def test_monomial_alone_takes_no_power_or_product(
     assert (lowered.numerators, lowered.denominator) == (numerators, denominator)
 
 
-def test_each_term_is_read_once_and_a_sum_canonicalised_once(monkeypatch):
+@pytest.fixture
+def canonical_rows(monkeypatch):
+    """The denominators of the rows poly._canonical reduces, one per call."""
+    rows, canonical_of = [], poly._canonical
+
+    def counted_canonical(nums, den):
+        rows.append(den)
+        return canonical_of(nums, den)
+
+    monkeypatch.setattr(poly, "_canonical", counted_canonical)
+    return rows
+
+
+def test_each_term_is_read_once_and_a_sum_canonicalised_once(monkeypatch, canonical_rows):
     trees = [parse("x^3 + (x+1)^2 - (x-1)^5"), parse("((x+1)+(x+2))+((x+3)+(x+4))")]
     expected = [lower(tree) for tree in trees]
-    seen, canonical = [], []
-    monomial, canonical_of = expr_parser._monomial, poly._canonical
+    seen, monomial = [], expr_parser._monomial
 
     def counted_monomial(e):
         seen.append(id(e))
         return monomial(e)
 
-    def counted_canonical(nums, den):
-        canonical.append(den)
-        return canonical_of(nums, den)
-
     monkeypatch.setattr(expr_parser, "_monomial", counted_monomial)
-    monkeypatch.setattr(poly, "_canonical", counted_canonical)
     for tree, want in zip(trees, expected):
         seen.clear()
-        canonical.clear()
+        canonical_rows.clear()
         assert lower(tree) == want
         assert len(seen) == len(set(seen)), "a node was passed to _monomial twice"
-    assert len(canonical) == 1  # the nested sum: one row, reduced once
+    assert len(canonical_rows) == 1  # the nested sum: one row, reduced once
+
+
+@pytest.mark.parametrize(
+    ("src", "passes"),
+    [
+        ("x - (x+1)^2", 3),  # x+1, its square, and the sum with the square negated
+        ("x^3 - (x-1)^5 - (2x+1)^4", 5),
+        ("x - (x+1)*(x-1)", 4),  # the two factors, their product, the sum
+        ("-(x+1)^2", 3),  # a lone negated part is its own one-part sum
+        ("(x+1)^2", 2),  # a lone part is returned as it is
+    ],
+)
+def test_a_signed_sum_is_one_pass(canonical_rows, src, passes):
+    """A negated term joins its sum as the part (-1, row): no row of its own."""
+    tree = parse(src)
+    lowered = lower(tree)
+    assert len(canonical_rows) == passes
+    # degree 5 at most, so seven points fix the polynomial
+    assert all(lowered(t) == evaluate(tree, t) for t in range(-3, 4))

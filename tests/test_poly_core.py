@@ -115,9 +115,26 @@ def test_add_sub_neg_match_reference(a, b):
     check(p + q, ref_add(ref(a), ref(b)))
     # b again as the monomial triples (k, a, d) that lower hands to add_all
     triples = [(k, c.numerator, c.denominator) for k, c in enumerate(map(Fraction, b))]
-    check(poly.add_all([p], triples), ref_add(ref(a), ref(b)))
+    check(poly.add_all([(1, p)], triples), ref_add(ref(a), ref(b)))
     check(p - q, ref_add(ref(a), ref_neg(ref(b))))
     check(-p, ref_neg(ref(a)))
+
+
+@property_settings
+@given(st.lists(st.tuples(coefficients, rows), max_size=5), rows)
+@example([], [])
+@example([(0, [1, 2]), (Fraction(0), [Fraction(1, 3)])], [])
+@example([(Fraction(1, 2), [0, 2]), (-1, [0, 1])], [])  # cancels to 0
+@example([(Fraction(1, 2), [2, 4]), (-1, [0, 1])], [0, Fraction(-1, 3)])
+@example([(Fraction(3, 4), [Fraction(2, 3)]), (Fraction(-1, 6), [0, 0, 9])], [0, 0, 0, 5])
+def test_add_all_of_scaled_parts_matches_reference(parts, b):
+    """add_all over (c, p) parts, c an int or a Fraction, zero among them, and
+    b's coefficients as monomial triples beside them."""
+    expected = ref(b)
+    for c, a in parts:
+        expected = ref_add(expected, ref([Fraction(c) * x for x in ref(a)]))
+    triples = [(k, c.numerator, c.denominator) for k, c in enumerate(map(Fraction, b))]
+    check(poly.add_all([(c, Polynomial(a)) for c, a in parts], triples), expected)
 
 
 @property_settings
@@ -183,6 +200,10 @@ def test_power_checks_the_leading_numerator(monkeypatch):
 
 @property_settings
 @given(rows, coefficients)
+@example([1, Fraction(-2, 3)], 0)
+@example([1, Fraction(-2, 3)], Fraction(0))
+@example([0, 4, 6], Fraction(-1, 2))
+@example([Fraction(1, 3), 2], -3)
 def test_scale_matches_reference(a, c):
     expected = ref([x * Fraction(c) for x in ref(a)])
     check(Polynomial(a).scale(c), expected)
@@ -281,6 +302,25 @@ def test_zero_polynomial_has_one_representation():
     for z in zeros:
         assert (z.numerators, z.denominator) == ((), 1)
         assert z == Polynomial() and hash(z) == hash(Polynomial())
+
+
+def test_each_linear_combination_is_reduced_once(monkeypatch):
+    """p + q, p - q, -p and p.scale(c) each build one row through add_all and
+    reduce it once; p - q does not negate q first."""
+    p, q = Polynomial((Fraction(1, 3), 2, 5)), Polynomial((Fraction(-1, 6), 0, 5))
+    combinations = [lambda: p + q, lambda: p - q, lambda: -p, lambda: p.scale(Fraction(-3, 7))]
+    expected = [combination() for combination in combinations]
+    rows, canonical = [], poly._canonical
+
+    def counted(nums, den):
+        rows.append(den)
+        return canonical(nums, den)
+
+    monkeypatch.setattr(poly, "_canonical", counted)
+    for combination, want in zip(combinations, expected):
+        rows.clear()
+        assert combination() == want
+        assert len(rows) == 1
 
 
 # ---------------------------------------------------------------------------
