@@ -3,7 +3,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from polysum import Polynomial
+import pytest
+
+from polysum import Polynomial, poly
 from polysum.cli import main
 
 
@@ -21,6 +23,19 @@ def random_polynomial(
     (or to zero) when random coefficients vanish."""
     degree = rng.randint(0, max_degree)
     return Polynomial(random_rational(rng, max_num, max_den) for _ in range(degree + 1))
+
+
+@pytest.fixture
+def canonical_rows(monkeypatch):
+    """The denominators of the rows poly._canonical reduces, one per call."""
+    rows, canonical_of = [], poly._canonical
+
+    def counted_canonical(nums, den):
+        rows.append(den)
+        return canonical_of(nums, den)
+
+    monkeypatch.setattr(poly, "_canonical", counted_canonical)
+    return rows
 
 
 def run_cli(capsys, *argv):

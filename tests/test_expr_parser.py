@@ -518,19 +518,6 @@ def test_monomial_alone_takes_no_power_or_product(
     assert (lowered.numerators, lowered.denominator) == (numerators, denominator)
 
 
-@pytest.fixture
-def canonical_rows(monkeypatch):
-    """The denominators of the rows poly._canonical reduces, one per call."""
-    rows, canonical_of = [], poly._canonical
-
-    def counted_canonical(nums, den):
-        rows.append(den)
-        return canonical_of(nums, den)
-
-    monkeypatch.setattr(poly, "_canonical", counted_canonical)
-    return rows
-
-
 def test_each_term_is_read_once_and_a_sum_canonicalised_once(monkeypatch, canonical_rows):
     trees = [parse("x^3 + (x+1)^2 - (x-1)^5"), parse("((x+1)+(x+2))+((x+3)+(x+4))")]
     expected = [lower(tree) for tree in trees]

@@ -304,23 +304,20 @@ def test_zero_polynomial_has_one_representation():
         assert z == Polynomial() and hash(z) == hash(Polynomial())
 
 
-def test_each_linear_combination_is_reduced_once(monkeypatch):
+def test_each_linear_combination_is_reduced_once(canonical_rows):
     """p + q, p - q, -p and p.scale(c) each build one row through add_all and
     reduce it once; p - q does not negate q first."""
     p, q = Polynomial((Fraction(1, 3), 2, 5)), Polynomial((Fraction(-1, 6), 0, 5))
-    combinations = [lambda: p + q, lambda: p - q, lambda: -p, lambda: p.scale(Fraction(-3, 7))]
-    expected = [combination() for combination in combinations]
-    rows, canonical = [], poly._canonical
-
-    def counted(nums, den):
-        rows.append(den)
-        return canonical(nums, den)
-
-    monkeypatch.setattr(poly, "_canonical", counted)
-    for combination, want in zip(combinations, expected):
-        rows.clear()
-        assert combination() == want
-        assert len(rows) == 1
+    combinations = [
+        (lambda: p + q, [Fraction(1, 6), 2, 10]),
+        (lambda: p - q, [Fraction(1, 2), 2]),
+        (lambda: -p, [Fraction(-1, 3), -2, -5]),
+        (lambda: p.scale(Fraction(-3, 7)), [Fraction(-1, 7), Fraction(-6, 7), Fraction(-15, 7)]),
+    ]
+    for combination, expected in combinations:
+        canonical_rows.clear()
+        check(combination(), expected)
+        assert len(canonical_rows) == 1
 
 
 # ---------------------------------------------------------------------------
