@@ -24,12 +24,12 @@ to_rising_basis and from_rising_basis are the same kernels on Fractions.
 
 The weights also have a closed form in the values v_k = f(-k),
 w_i = 1/i! * sum_{k=0..i} (-1)^k C(i,k) v_k = (-1)^i Delta^i v_0 / i!;
-alternating_sums gives its int sums.  Fed v_k = k^n, they are i! times the
-paper's sums sum_{k=0..i} (-1)^k k^n / (k!(i-k)!) = (-1)^i S(n,i); powersum
-turns them into the weights a_i of S_n and checks a_n and S_n(1) on every
-build, which is what the CLI's identities suite runs.  Summation is one
-shift of the weights; its closing step, summation.close, calls
-from_rising_row for every closed form.
+alternating_sums gives its int sums.  Fed v_k = (-k)^n, the values of m^n,
+they are i! (-1)^n times the paper's sums sum_{k=0..i} (-1)^k k^n /
+(k!(i-k)!) = (-1)^i S(n,i); powersum puts them over (i+1)! as the weights of
+S_n and checks them on every build, which is what the CLI's identities suite
+runs.  Summation is one shift of the weights; its closing step,
+summation.close, calls from_rising_row for every closed form.
 """
 
 from __future__ import annotations

@@ -152,7 +152,7 @@ def _failure(check: str, n: int, expected, got, **where) -> dict:
 
 
 def _identities(n: int, max_m: int) -> tuple[int, list[dict]]:
-    _weights(n)  # ArithmeticError unless a_n = (-1)^n/(n+1) and S_n(1) = 1
+    _weights(n)  # ArithmeticError unless S_n's weights give w_n = 1/(n+1) and S_n(1) = 1
     return 1, []
 
 
@@ -277,7 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as e:
-        return e.code if isinstance(e.code, int) else 0
+        return e.code
     if args.json:
         import json
     try:

@@ -7,13 +7,14 @@ Both forms are the paper's formula, which needs no Bernoulli numbers:
     a_i = 1/(i+1) * sum_{k=0..i} (-1)^k * k^n / (k! * (i-k)!),
 
 where the inner sum is (-1)^i S(n,i), S the Stirling numbers of the second
-kind.  i! times the inner sums are basis.alternating_sums of the values k^n,
-k = 0..n; _weights puts them over (i+1)! as one int row over one
-denominator and checks, on every call, a_n = (-1)^n/(n+1) and S_n(1) = 1,
-which is (-1)^n sum a_i (i+1)!.  coefficients(n) makes that row Fractions,
-for the factored form too.  power_sum_closed_form hands the row, signed by
-(-1)^n, to summation.close, the step that assembles and checks every closed
-form, here with f = m^n: S_n(1) = 1 and the leading coefficient 1/(n+1).
+kind.  The sign (-1)^n goes into the values: i! times the inner sums, times
+(-1)^n, are basis.alternating_sums of (-k)^n, k = 0..n.  _weights puts them
+over (i+1)! as S_n's own weights w_i = (-1)^n a_i on m(m+1)...(m+i), w_0 = 0,
+in one int row over one denominator, and checks, on every call,
+w_n = 1/(n+1) and S_n(1) = 1, which is sum w_i (i+1)!.  power_sum_closed_form
+hands the row to summation.close, the step that assembles and checks every
+closed form, here with f = m^n.  coefficients(n) makes the paper's a_i, the
+row times (-1)^n, as Fractions, for the factored form too.
 For n >= 3 the common factor m(m+1) can be pulled out, giving the factored form
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
@@ -60,16 +61,19 @@ class PowerSumCoefficients(Record):
 
 
 def _weights(n: int) -> tuple[list[int], int]:
-    """a_1..a_n for the exponent n, each by the defining sum, as one int row
-    over one denominator; ArithmeticError unless a_n = (-1)^n/(n+1), S_n(1) = 1."""
+    """S_n's weights w_0..w_n on m(m+1)...(m+i), w_0 = 0 and w_i = (-1)^n a_i,
+    each by the defining sum, as one int row over one denominator;
+    ArithmeticError unless w_n = 1/(n+1) and S_n(1) = 1."""
     if n < 1:
         raise ValueError(f"exponent must be >= 1 (got {n})")
-    _, *sums = alternating_sums([k**n for k in range(n + 1)])
-    row, den = lowest_terms(sums, list(accumulate(range(2, n + 2), mul)))  # over (i+1)!
-    if row[-1] * (n + 1) != (-den if n % 2 else den):
-        raise ArithmeticError(f"a_n disagrees with (-1)^n/(n+1) for n={n}: {row[-1]}/{den}")
-    if sum(sums) != (-1) ** n:  # S_n(1) = (-1)^n sum a_i (i+1)!, and a_i (i+1)! is sums[i-1]
-        raise ArithmeticError(f"the a_i give S_n(1) = {(-1) ** n * sum(sums)}, not 1, for n={n}")
+    sums = alternating_sums([(-k) ** n for k in range(n + 1)])
+    row, den = lowest_terms(sums, list(accumulate(range(1, n + 2), mul)))  # over (i+1)!
+    if row[-1] * (n + 1) != den:
+        raise ArithmeticError(
+            f"a_n disagrees with (-1)^n/(n+1) for n={n}: {(-1) ** n * row[-1]}/{den}"
+        )
+    if sum(sums) != 1:  # S_n(1) = sum w_i (i+1)!, and w_i (i+1)! is sums[i]
+        raise ArithmeticError(f"the a_i give S_n(1) = {sum(sums)}, not 1, for n={n}")
     return row, den
 
 
@@ -78,22 +82,18 @@ def coefficients(n: int) -> PowerSumCoefficients:
     row, den = _weights(n)
     # per-call tuples are built from lists: tuple(<generator>) over-allocates
     # and resizes, which raised peak memory by 8% over many cold builds
-    return PowerSumCoefficients(n, tuple([Fraction(a, den) for a in row]))
+    return PowerSumCoefficients(n, tuple([Fraction((-1) ** n * w, den) for w in row[1:]]))
 
 
 @functools.lru_cache(maxsize=128)
 def power_sum_closed_form(n: int) -> Polynomial:
-    """S_n(m) expanded in the monomial basis of m, from the a_i of _weights(n).
+    """S_n(m) expanded in the monomial basis of m, from the weights of _weights(n).
 
     Degree n+1, divisible by m(m+1); ArithmeticError from summation.close
     unless S_n(1) = 1 and the leading coefficient is 1/(n+1).  Cached;
     results are immutable, so concurrent use is safe.
     """
-    row, den = _weights(n)
-    if n % 2:
-        row = [-a for a in row]
-    # a_i multiplies m(m+1)...(m+i) for i >= 1, and nothing multiplies m alone
-    return close(Polynomial.from_numerators([0] * n + [1]), [0, *row], den)
+    return close(Polynomial.monomial(1, n), *_weights(n))
 
 
 class FactoredPowerSum(Record):

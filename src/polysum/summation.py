@@ -9,9 +9,8 @@ which holds for i = 0 too (the length-0 product is 1), shifts the
 rising-factorial weights (w_0, ..., w_n) of f one product up: g has the
 weights (0, w_0/1, w_1/2, ..., w_n/(n+1)).  sum_polynomial takes the weights
 of f from basis.to_rising_row as ints W_i over f's denominator D and reduces
-the pairs (W_i, D(i+1)) with poly.lowest_terms.  The power sums need no
-shift: the paper's weights a_i already multiply the products m(m+1)...(m+i)
-(see powersum).
+the pairs (W_i, D(i+1)) with poly.lowest_terms.  powersum reaches the same
+weights for f = m^n from the paper's sums, over (i+1)!, in one step.
 
 Both routes end in close, the one step that assembles a closed form, by
 basis.from_rising_row, and checks it on the int rows: g(1) = f(1) and the

@@ -564,6 +564,14 @@ def test_divisibility_failure_reports_the_remainder(capsys, monkeypatch):
     assert suite["failures"][1]["got"] == "1/3"
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["closed-form", "--help"]], ids=" ".join)
+def test_help_exits_zero_with_usage_on_stdout(capsys, argv):
+    # main returns argparse's own exit code, which is 0 after --help
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: ")
+
+
 @pytest.mark.parametrize(
     "argv", [["frobnicate"], ["bench", "--n", "2", "--m", "10"]], ids=lambda argv: argv[0]
 )
@@ -579,11 +587,11 @@ A3_MESSAGE = "a_n disagrees with (-1)^n/(n+1) for n=3: 0/1"
 
 
 def tamper_with_weights(monkeypatch):
-    """Zero alternating_sums on the values k^3, in powersum's binding only."""
+    """Zero alternating_sums on the values (-k)^3, in powersum's binding only."""
     real = polysum.powersum.alternating_sums
 
     def tampered(values):
-        return [0] * len(values) if list(values) == [0, 1, 8, 27] else real(values)
+        return [0] * len(values) if list(values) == [0, -1, -8, -27] else real(values)
 
     monkeypatch.setattr(polysum.powersum, "alternating_sums", tampered)
     # a cached S_3 would skip the weights; a build that raises is not cached
@@ -598,14 +606,14 @@ def assert_failed_self_check(capsys, argv, as_json, message):
 
 
 def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
-    # _weights calls alternating_sums on the n + 1 values k^n; move a middle sum
-    # for n = 3 by one: a_3 still holds, S_3(1) = 1 does not
+    # _weights calls alternating_sums on the n + 1 values (-k)^n; move a middle
+    # sum for n = 3 by -1: a_3 still holds, S_3(1) = 1 does not
     real = polysum.powersum.alternating_sums
 
     def tampered(values):
         sums = real(values)
         if len(values) == 4:
-            sums[2] += 1
+            sums[2] -= 1
         return sums
 
     monkeypatch.setattr(polysum.powersum, "alternating_sums", tampered)
@@ -616,7 +624,7 @@ def test_verify_failure_exits_one_with_counterexample(capsys, monkeypatch):
 
 def test_identities_suite_sees_a_defect_in_the_production_kernel(capsys, monkeypatch):
     # the suite runs the power-sum weights; zero the kernel's sums for the values
-    # k^3, in powersum's binding only: the suite must fail where
+    # (-k)^3, in powersum's binding only: the suite must fail where
     # powersum.coefficients(3) fails
     tamper_with_weights(monkeypatch)
     with pytest.raises(ArithmeticError, match=re.escape(A3_MESSAGE)):

@@ -7,6 +7,7 @@ from math import factorial
 import pytest
 
 from polysum import powersum
+from polysum.basis import from_rising_row
 from polysum.expr_parser import parse_polynomial
 from polysum.poly import Polynomial
 from polysum.powersum import (
@@ -83,13 +84,13 @@ def test_coefficients_check_the_closing_value(monkeypatch):
 
 
 def test_weights_check_the_value_at_one(monkeypatch):
-    # bump one middle alternating sum: a_n still passes, but S_n(1) = (-1)^n
-    # sum a_i (i+1)! is off by one, so every form built from the row raises
+    # move one middle alternating sum by -1: a_n still passes, but
+    # S_n(1) = sum w_i (i+1)! is off by one, so every form built from the row raises
     real = powersum.alternating_sums
 
     def bumped(values):
         sums = real(values)
-        sums[3] += 1
+        sums[3] -= 1
         return sums
 
     monkeypatch.setattr(powersum, "alternating_sums", bumped)
@@ -103,6 +104,16 @@ def test_weights_check_the_value_at_one(monkeypatch):
             power_sum_closed_form(5)
     finally:
         power_sum_closed_form.cache_clear()
+
+
+def test_weights_are_the_closed_forms_row():
+    # _weights returns S_n's own weights on m(m+1)...(m+i), i = 0..n: no weight
+    # on m alone, 1/(n+1) on the last product, and the row closes to S_n as it is
+    for n in range(1, 61):
+        row, den = powersum._weights(n)
+        assert row[0] == 0
+        assert Fraction(row[-1], den) == Fraction(1, n + 1)
+        assert from_rising_row([0, *row], den) == power_sum_closed_form(n), n
 
 
 def test_closed_form_checks_the_leading_coefficient(monkeypatch):
