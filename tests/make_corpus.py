@@ -6,8 +6,9 @@ the code as it stands; tests/test_corpus.py replays both files.
 cli.jsonl maps argument lists to cli.main's exit code, stdout and stderr, run
 in process.  They are the README's commands, closed forms at n = 1..40 in
 each format, sum on the SUMMANDS below (symbolic and ranged, as text and
-JSON), each verify suite at small bounds, and every argument list written
-out in tests/test_cli.py, its error commands among them.  rows.jsonl maps
+JSON) and on the WIDE_SUMMANDS over ranges with a 60-digit bound, each
+verify suite at small bounds, and every argument list written out in
+tests/test_cli.py, its error commands among them.  rows.jsonl maps
 texts to their lowered (numerators, denominator), or to the ParseError
 message and offset: the SUMMANDS, every string constant in tests/ and the
 benchmark's three summand shapes at a few degrees.
@@ -55,6 +56,12 @@ SUMMANDS = [
     "x^3 + (x+1)^2 - (x-1)^5", "((x+1)+(x+2))+((x+3)+(x+4))", "-(x+1)^2 + 3x",
     "x - (x - (x - 1))", "(1/2*x + 1/3) + (1/6 - x^2)", "--x + -(-x^2)",
 ]
+
+# Summed over wide ranges: at a 60-digit bound a closed form of 41 or more
+# terms evaluates in two Horner chunks, and the sparse summands leave runs of
+# zero numerators in it.  Each value stays under Python's 4,300-digit limit.
+WIDE_SUMMANDS = ["x^40 + 1", "x^7 - x", "x^12", "(x+1)^20", "(x+1)^50", "x^60 - x^3"]
+WIDE_BOUND = str(10**59 + 123456789)
 
 
 def stored(value):
@@ -126,6 +133,9 @@ def commands() -> list[list[str]]:
     for expr in SUMMANDS:
         for extra in ([], ["--lo", "-7", "--hi", "5"]):
             argvs += [["sum", "--expr", expr, *extra], ["--json", "sum", "--expr", expr, *extra]]
+    for expr in WIDE_SUMMANDS:
+        for bounds in (["--lo", "-3", "--hi", WIDE_BOUND], ["--lo", f"-{WIDE_BOUND}", "--hi", "5"]):
+            argvs += [["sum", "--expr", expr, *bounds], ["--json", "sum", "--expr", expr, *bounds]]
     for suite in ("identities", "oracle", "divisibility", "all"):
         for fmt in ([], ["--json"]):
             argvs.append([*fmt, "verify", "--suite", suite, "--max-n", "8", "--max-m", "12"])
