@@ -15,13 +15,16 @@ row, with one reduction.  p + q, p - q, -p and p.scale(c) are its cases.
 Evaluation at t = p/q is int work with one Fraction at the end: Horner over
 chunks of terms, as many as keep the powers of the point near 2^_CHUNK_BITS,
 then the chunk values combined pairwise (Estrin's scheme), so that at a large
-point the big products are balanced.  A power strips the base's low-order
-zeros, so the base is x^k * a with a(0) != 0, computes a^e by J. C. P.
-Miller's recurrence on the int numerators, one coefficient from the ones
-before it by exact divisions, and shifts the result by k*e over the
-denominator to the e.  Each coefficient sums one product per nonzero term
-of a, so a two-term a, a binomial such as x + c, costs one bigint product
-and one division a coefficient.
+point the big products are balanced.  A Horner step is one multiply-add per
+nonzero numerator, so the zero numerators, nearly half of S_n's row, cost no
+product.  At a rational point the powers of q are built once per call and
+scale each chunk's numerators; an int point needs none.  A power strips the
+base's low-order zeros, so the base is x^k * a with a(0) != 0, computes a^e
+by J. C. P. Miller's recurrence on the int numerators, one coefficient from
+the ones before it by exact divisions, and shifts the result by k*e over the
+denominator to the e.  Each coefficient sums one product per nonzero term of
+a, so a two-term a, a binomial such as x + c, costs one bigint product and
+one division a coefficient.
 
 A product first strips each factor's run of low-order zero coefficients and
 shifts the result back afterwards, so x^k and c*x^k are one-term rows.  The
@@ -41,8 +44,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, floordiv
+from operator import add, floordiv, mul
 
 __all__ = ["Polynomial"]
 
@@ -232,16 +236,21 @@ class Polynomial(Record):
         For n numerators and a point of bits = max(bit lengths of p and q),
         the row splits into k = n * bits // _CHUNK_BITS + 1 chunks of
         b = ceil(n / k) terms, the top one perhaps fewer, so p^b and q^b stay
-        near 2^_CHUNK_BITS.  Each chunk is a Horner pass in p scaled by
-        powers of q, so a chunk of s terms is homogeneous of degree s - 1 in
-        p and q.  The chunk values then combine pairwise, low * q^r + high *
-        p^s for a low value of s terms and a high one of r terms; the top
-        value of an odd level moves up alone, and p^s and q^s are squared
-        between levels.  The last value is the numerator over q^(n-1) that
-        one Horner pass over all n terms gives.  A point below
-        2^(_CHUNK_BITS / n) is one chunk, that one pass.  At a larger point
-        the products of the upper levels are balanced, so CPython multiplies
-        them by Karatsuba.
+        near 2^_CHUNK_BITS.  At a rational point q^0..q^(b-1) are built once,
+        and a chunk of s terms scales its numerator of x^j by q^(s-1-j), so
+        it is homogeneous of degree s - 1 in p and q; at an int point the
+        numerators go in as they are.  Each chunk is then a Horner pass in p
+        from its top numerator down, one multiply-add per nonzero numerator:
+        over a run of zeros acc owes a power p^e, paid at the next nonzero
+        numerator as p, p^2 (computed once) or p^e, and at the chunk's low
+        end for its low-order zeros.  The chunk values then combine
+        pairwise, low * q^r + high * p^s for a low value of s terms and a
+        high one of r terms; the top value of an odd level moves up alone,
+        and p^s and q^s are squared between levels.  The last value is the
+        numerator over q^(n-1) that one Horner pass over all n terms gives.
+        A point below 2^(_CHUNK_BITS / n) is one chunk, that one pass.  At a
+        larger point the products of the upper levels are balanced, so
+        CPython multiplies them by Karatsuba.
         """
         if not isinstance(t, (int, Fraction)):
             t = Fraction(t)
@@ -252,14 +261,22 @@ class Polynomial(Record):
         n = len(nums)
         k = n * (abs(p) | q).bit_length() // _CHUNK_BITS + 1  # chunks
         b = -(-n // k)  # terms per chunk, the top one perhaps fewer
+        p2 = p * p  # the step over one zero numerator, as S_n's rows take
+        if q != 1:
+            qpow = list(accumulate(repeat(q, b - 1), mul, initial=1))  # q^0..q^(b-1)
         values = []
         for lo in range(0, n, b):
             chunk = nums[lo : lo + b]
-            acc, qk = chunk[-1], 1
-            for c in chunk[-2::-1]:
-                qk *= q
-                acc = acc * p + c * qk
-            values.append(acc)
+            terms = reversed(chunk)
+            if q != 1:
+                terms = map(mul, terms, qpow)  # c_j * q^(s-1-j) in a chunk of s terms
+            acc, e = next(terms), 0  # e: the power of p that acc still owes
+            for c in terms:
+                e += 1
+                if c:
+                    acc = acc * (p if e == 1 else p2 if e == 2 else p**e) + c
+                    e = 0
+            values.append(acc * p**e if e else acc)
         if len(values) > 1:
             span, top = b, len(chunk)  # terms behind each value, and behind the top one
             ps, qs = p**b, q**b
@@ -275,8 +292,7 @@ class Polynomial(Record):
                 span *= 2
                 ps *= ps
                 qs *= qs
-            qk = q ** (n - 1)
-        return values[0], self.denominator * qk
+        return values[0], self.denominator * q ** (n - 1)
 
     def divide_exact(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
         """Euclidean division: return (quotient, remainder), by one long

@@ -93,7 +93,8 @@ def power_sum_closed_form(n: int) -> Polynomial:
     unless S_n(1) = 1 and the leading coefficient is 1/(n+1).  Cached;
     results are immutable, so concurrent use is safe.
     """
-    return close(Polynomial.monomial(1, n), *_weights(n))
+    row, den = _weights(n)  # first, so the row of m^n is not alive while it runs
+    return close(Polynomial.monomial(1, n), row, den)
 
 
 class FactoredPowerSum(Record):

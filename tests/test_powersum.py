@@ -218,6 +218,17 @@ def test_power_sum_value_examples():
     assert power_sum_value(10, 100) == brute_force_sum(Polynomial.monomial(1, 10), 100)
 
 
+def test_power_sum_value_at_points_of_several_chunks():
+    """Wide points split the closed form into Horner chunks, and the zero
+    numerators of S_n fall inside and at the ends of them."""
+    for m in (10**300 + 7, 10**600 + 7):  # S_3 at the second is two chunks
+        assert power_sum_value(3, m) == (m * (m + 1) // 2) ** 2  # Nicomachus
+    m = 3 * 10**299 + 12345
+    for n in (63, 64):  # eight and nine chunks
+        oracle = faulhaber_bernoulli_oracle(n)
+        assert power_sum_value(n, m) == sum(c * m**j for j, c in enumerate(oracle.coeffs))
+
+
 def test_power_sum_value_is_int():
     value = power_sum_value(7, 123)
     assert isinstance(value, int)
