@@ -241,16 +241,16 @@ class Polynomial(Record):
         it is homogeneous of degree s - 1 in p and q; at an int point the
         numerators go in as they are.  Each chunk is then a Horner pass in p
         from its top numerator down, one multiply-add per nonzero numerator:
-        over a run of zeros acc owes a power p^e, paid at the next nonzero
-        numerator as p, p^2 (computed once) or p^e, and at the chunk's low
-        end for its low-order zeros.  The chunk values then combine
-        pairwise, low * q^r + high * p^s for a low value of s terms and a
-        high one of r terms; the top value of an odd level moves up alone,
-        and p^s and q^s are squared between levels.  The last value is the
-        numerator over q^(n-1) that one Horner pass over all n terms gives.
-        A point below 2^(_CHUNK_BITS / n) is one chunk, that one pass.  At a
-        larger point the products of the upper levels are balanced, so
-        CPython multiplies them by Karatsuba.
+        after a run of e zeros the next nonzero numerator multiplies acc by
+        p^(e+1), as p, p^2 (computed once) or p ** (e + 1), and the chunk's
+        low end pays p^e for its low-order zeros.  The chunk values then
+        combine pairwise, low * q^r + high * p^s for a low value of s terms
+        and a high one of r terms; the top value of an odd level moves up
+        alone, and p^s and q^s are squared between levels.  The last value
+        is the numerator over q^(n-1) that one Horner pass over all n terms
+        gives.  A point below 2^(_CHUNK_BITS / n) is one chunk, that one
+        pass.  At a larger point the products of the upper levels are
+        balanced, so CPython multiplies them by Karatsuba.
         """
         if not isinstance(t, (int, Fraction)):
             t = Fraction(t)
@@ -270,12 +270,13 @@ class Polynomial(Record):
             terms = reversed(chunk)
             if q != 1:
                 terms = map(mul, terms, qpow)  # c_j * q^(s-1-j) in a chunk of s terms
-            acc, e = next(terms), 0  # e: the power of p that acc still owes
+            acc, e = next(terms), 0  # e: zero numerators since the last nonzero one
             for c in terms:
-                e += 1
                 if c:
-                    acc = acc * (p if e == 1 else p2 if e == 2 else p**e) + c
+                    acc = acc * (p if not e else p2 if e == 1 else p ** (e + 1)) + c
                     e = 0
+                else:
+                    e += 1
             values.append(acc * p**e if e else acc)
         if len(values) > 1:
             span, top = b, len(chunk)  # terms behind each value, and behind the top one
