@@ -228,7 +228,7 @@ def chunked(terms: int) -> int:
 @example([Fraction(k, 3) for k in range(-9, 10)], chunked(4))  # 4 + 4 + 4 + 4 + 3
 @example([Fraction(k, 7) for k in range(-9, 10)], Fraction(chunked(4), 3 * 10**20))  # rational
 @example([2**64 - k for k in range(40)], Fraction(-chunked(3), 2**70 + 1))  # 13 * 3 + 1
-# zero numerators cost no product: the step over a gap is p, p^2 or p^e
+# zero numerators cost no product: after e of them the step is p^(e+1)
 @example([1, 0, 2, 0, 0, 0, 3, 0, 0, 4], chunked(10))  # one chunk: steps of p^3, p^4 and p^2
 @example([1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 11, 12], chunked(4))  # 4 + 4 + 4, zeros across a boundary
 @example([1, 2, 3, 0, 5, 6, 7, 8, 9, 10, 11, 12], -chunked(4))  # the low chunk's top is zero

@@ -216,11 +216,8 @@ def test_power_sum_value_examples():
     assert power_sum_value(4, 0) == 0
     assert power_sum_value(2, 3) == 14
     assert power_sum_value(10, 100) == brute_force_sum(Polynomial.monomial(1, 10), 100)
-
-
-def test_power_sum_value_at_points_of_several_chunks():
-    """Wide points split the closed form into Horner chunks, and the zero
-    numerators of S_n fall inside and at the ends of them."""
+    # wide points split the closed form into Horner chunks, and the zero
+    # numerators of S_n fall inside and at the ends of them
     for m in (10**300 + 7, 10**600 + 7):  # S_3 at the second is two chunks
         assert power_sum_value(3, m) == (m * (m + 1) // 2) ** 2  # Nicomachus
     m = 3 * 10**299 + 12345
