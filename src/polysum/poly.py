@@ -66,20 +66,22 @@ class Record:
     __slots__, set by position or keyword, equality by class and fields, and
     a frozen dataclass's repr, e.g. Pow(base=Var(name='x'), exponent=2).
 
-    __init__ is the generic path, for the records built a few times an
-    operation.  The expression-tree nodes, which the parser builds by the
-    hundred, and Polynomial set their own slots."""
+    A subclass without its own __init__ gets one made from its __slots__, a
+    parameter and one object.__setattr__ per field, as a frozen dataclass's
+    is; Python's own checks reject a missing, extra or unknown field."""
 
     __slots__ = ()
 
-    def __init__(self, *values, **named):
-        names = self.__slots__
-        if named:
-            values += tuple([named.pop(name) for name in names[len(values):] if name in named])
-        if named or len(values) != len(names):
-            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name, value in zip(names, values):
-            object.__setattr__(self, name, value)
+    def __init_subclass__(cls):
+        if "__init__" in cls.__dict__:
+            return  # Polynomial, which takes coefficients
+        names = cls.__slots__  # identifiers, already checked by Python
+        body = "".join([f"\n    object_setattr(self, {name!r}, {name})" for name in names])
+        scope = {"object_setattr": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}):{body or ' pass'}", scope)
+        init = cls.__init__ = scope["__init__"]
+        init.__qualname__ = f"{cls.__qualname__}.__init__"
+        init.__module__ = cls.__module__
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable")

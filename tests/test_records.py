@@ -6,6 +6,7 @@ and immutability."""
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 from fractions import Fraction
 
@@ -77,6 +78,9 @@ def test_fields_cannot_be_set_or_deleted(cls, fields, other):
 
 @pytest.mark.parametrize("cls, fields, other", CASES, ids=IDS)
 def test_keyword_and_mixed_construction(cls, fields, other):
+    # one named parameter per field, in slot order, under the class's own name
+    assert list(inspect.signature(cls).parameters) == list(cls.__slots__)
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
     named = dict(zip(cls.__slots__, fields))
     assert cls(**named) == cls(*fields)
     first, *rest = cls.__slots__
