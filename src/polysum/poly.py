@@ -78,7 +78,7 @@ class Record:
         names = cls.__slots__  # identifiers, already checked by Python
         body = "".join([f"\n    object_setattr(self, {name!r}, {name})" for name in names])
         scope = {"object_setattr": object.__setattr__}
-        exec(f"def __init__(self, {', '.join(names)}):{body or ' pass'}", scope)
+        exec(f"def __init__(self, {', '.join(names)}):{body}", scope)
         init = cls.__init__ = scope["__init__"]
         init.__qualname__ = f"{cls.__qualname__}.__init__"
         init.__module__ = cls.__module__
