@@ -56,8 +56,8 @@ __all__ = [
 ]
 
 
-# Largest exponent and degree bound the parser accepts, and the largest n the
-# CLI builds a power-sum closed form for.
+# Largest exponent and degree bound the parser accepts, and the largest n that
+# powersum builds S_n for; each is checked by the library call that does the work.
 MAX_DEGREE = 1000
 
 # Most '(' and unary '-' the parser lets stand open at once.  In the recursive

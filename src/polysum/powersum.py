@@ -31,6 +31,7 @@ from itertools import accumulate
 from operator import mul
 
 from .basis import alternating_sums
+from .expr_parser import MAX_DEGREE
 from .poly import ONE, Polynomial, Record, add_all, join_terms, lowest_terms
 from .summation import _count, close
 
@@ -63,9 +64,12 @@ class PowerSumCoefficients(Record):
 def _weights(n: int) -> tuple[list[int], int]:
     """S_n's weights w_0..w_n on m(m+1)...(m+i), w_0 = 0 and w_i = (-1)^n a_i,
     each by the defining sum, as one int row over one denominator;
-    ArithmeticError unless w_n = 1/(n+1) and S_n(1) = 1."""
+    ArithmeticError unless w_n = 1/(n+1) and S_n(1) = 1.  Every entry point's
+    one check of 1 <= n <= MAX_DEGREE, a ValueError before any work."""
     if n < 1:
-        raise ValueError(f"exponent must be >= 1 (got {n})")
+        raise ValueError(f"n must be >= 1 (got {n})")
+    if n > MAX_DEGREE:
+        raise ValueError(f"n must be <= {MAX_DEGREE} (got {n})")
     sums = alternating_sums([(-k) ** n for k in range(n + 1)])
     row, den = lowest_terms(sums, list(accumulate(range(1, n + 2), mul)))  # over (i+1)!
     if row[-1] * (n + 1) != den:
@@ -123,9 +127,9 @@ class FactoredPowerSum(Record):
 
 def power_sum_factored_form(n: int) -> FactoredPowerSum:
     """The factored representation of S_n; requires n >= 3 (for smaller n
-    there is no inner sum to factor)."""
-    if n < 3:
-        raise ValueError(f"factored form requires n >= 3 (got {n})")
+    there is no inner sum to factor).  n < 1 is left to _weights, as in the CLI."""
+    if 1 <= n < 3:
+        raise ValueError(f"the factored form requires n >= 3 (got {n})")
     a_1, *rest = coefficients(n).coeffs
     return FactoredPowerSum(
         n=n,

@@ -32,6 +32,10 @@ __all__ = [
     "sum_range",
 ]
 
+# Largest (degree + 1) * bit length of max(|lo - 1|, |hi|) that sum_range
+# accepts: about the size of g(hi) - g(lo - 1), which sets the evaluation cost.
+MAX_SUM_BITS = 2**20
+
 
 class ClosedFormSum(Record):
     """The polynomial g with g(m) = sum of the summand at x = 1..m.
@@ -91,12 +95,19 @@ def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:
 
     For lo >= 1 this is the plain closed-form difference; bounds at or
     below zero are evaluated by polynomial extension of g, an extension of
-    the 1..m semantics.  TypeError unless both bounds are ints.
+    the 1..m semantics.  TypeError unless both bounds are ints; ValueError,
+    before any work, if lo > hi or the size bound MAX_SUM_BITS is passed.
     """
     for name, bound in (("lo", lo), ("hi", hi)):
         if not isinstance(bound, int):
             raise TypeError(f"{name} must be an int (got {type(bound).__name__})")
     if lo > hi:
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
+    bits = (f.degree + 1) * max(abs(lo - 1), abs(hi)).bit_length()
+    if bits > MAX_SUM_BITS:
+        raise ValueError(
+            f"--lo/--hi too large for degree {f.degree}: (degree + 1) * bit length of "
+            f"max(|lo - 1|, |hi|) must be <= {MAX_SUM_BITS} (got {bits})"
+        )
     g = sum_polynomial(f).poly
     return g(hi) - g(lo - 1)

@@ -1,0 +1,95 @@
+"""Each library entry point checks its own bounds before any work, with the
+text the CLI prints: a call one past a bound raises ValueError, and a call at
+the bound gets as far as the work."""
+
+from __future__ import annotations
+
+import pytest
+
+import polysum.powersum
+import polysum.summation
+from polysum.poly import Polynomial
+from polysum.powersum import (
+    coefficients,
+    power_sum_closed_form,
+    power_sum_factored_form,
+    power_sum_value,
+)
+from polysum.summation import sum_range
+
+
+class Reached(Exception):
+    """Raised in place of the work, so a call shows that it passed its checks."""
+
+
+@pytest.fixture(autouse=True)
+def no_work(monkeypatch):
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(polysum.powersum, "alternating_sums", reached)
+    monkeypatch.setattr(polysum.summation, "sum_polynomial", reached)
+    power_sum_closed_form.cache_clear()  # a cached S_n would skip the work
+
+
+def too_large(bits: int) -> str:
+    return (
+        "--lo/--hi too large for degree 1000: (degree + 1) * bit length of "
+        f"max(|lo - 1|, |hi|) must be <= 1048576 (got {bits})"
+    )
+
+
+X_1000 = Polynomial.monomial(1, 1000)
+TOP = 2**1047  # 1001 * 1047 bits is inside 2^20, 1001 * 1048 is past it
+
+POWER_SUM_CALLS = [
+    (power_sum_closed_form, ()),
+    (coefficients, ()),
+    (power_sum_value, (5,)),
+]
+
+# (function, arguments, message past the bound, or None at it)
+CASES = [
+    *[
+        case
+        for call, extra in POWER_SUM_CALLS
+        for case in [
+            (call, (1, *extra), None),
+            (call, (0, *extra), "n must be >= 1 (got 0)"),
+            (call, (1000, *extra), None),
+            (call, (1001, *extra), "n must be <= 1000 (got 1001)"),
+        ]
+    ],
+    (power_sum_factored_form, (3,), None),
+    (power_sum_factored_form, (2,), "the factored form requires n >= 3 (got 2)"),
+    # n >= 1 is checked first, as the CLI orders its messages
+    (power_sum_factored_form, (-3,), "n must be >= 1 (got -3)"),
+    (power_sum_factored_form, (1000,), None),
+    (power_sum_factored_form, (1001,), "n must be <= 1000 (got 1001)"),
+    (sum_range, (X_1000, 1, TOP - 1), None),
+    (sum_range, (X_1000, 1, TOP), too_large(1001 * 1048)),
+    (sum_range, (X_1000, 2 - TOP, 1), None),  # |lo - 1| = TOP - 1
+    (sum_range, (X_1000, 1 - TOP, 1), too_large(1001 * 1048)),
+    (sum_range, (X_1000, 1, 10**4000), too_large(1001 * 13288)),
+]
+
+
+def case_id(case) -> str:
+    call, args, message = case
+    shown = ", ".join(
+        "x^1000" if isinstance(a, Polynomial)
+        else f"{'-' * (a < 0)}<{a.bit_length()} bits>" if abs(a) > 10**6 else str(a)
+        for a in args
+    )
+    return f"{call.__name__}({shown})-{'past' if message else 'at'}"
+
+
+@pytest.mark.parametrize(("call", "args", "message"), CASES, ids=[case_id(c) for c in CASES])
+def test_a_call_past_a_bound_raises_before_any_work(call, args, message):
+    if message is None:
+        with pytest.raises(Reached):
+            call(*args)
+    else:
+        with pytest.raises(ValueError) as info:
+            call(*args)
+        assert str(info.value) == message

@@ -11,10 +11,12 @@ import pytest
 import polysum.basis
 import polysum.cli as cli_module
 import polysum.powersum
+import polysum.summation
 from conftest import run_cli
-from polysum.cli import MAX_M, MAX_SUM_BITS, MAX_VERIFY_N
+from polysum.cli import MAX_M, MAX_VERIFY_N
 from polysum.poly import Polynomial
 from polysum.powersum import coefficients, power_sum_closed_form
+from polysum.summation import MAX_SUM_BITS
 
 EXACT_DECIMAL = re.compile(r"^-?[0-9]+(/[0-9]+)?$")
 
@@ -358,7 +360,8 @@ def test_sum_past_the_size_bound_is_usage_error(capsys, monkeypatch):
     def no_work(*args):
         raise AssertionError("work started before the bound was checked")
 
-    monkeypatch.setattr(cli_module, "sum_range", no_work)
+    # sum_range owns the bound, so it must raise before it calls sum_polynomial
+    monkeypatch.setattr(polysum.summation, "sum_polynomial", no_work)
     hi = "9" * 4000  # 13,288 bits, times degree + 1 = 1001
     code, out, err = run_cli(capsys, "--json", "sum", "--expr", "x^1000", "--lo", "1", "--hi", hi)
     assert code == 2
@@ -485,6 +488,8 @@ def test_verify_rejects_bad_bounds(capsys):
             ["verify", "--suite", "oracle", "--max-n", "1", "--max-m", "100001"],
             "--max-m must be <= 100000 (got 100001)",
         ),
+        # n >= 1 is checked before the factored form's n >= 3
+        (["closed-form", "--n", "-3", "--factored"], "n must be >= 1 (got -3)"),
     ],
 )
 def test_range_errors_are_verbatim(capsys, argv, message):

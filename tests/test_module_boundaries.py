@@ -73,6 +73,24 @@ def test_only_summation_assembles_closed_forms():
     assert importers == {"summation"}  # basis defines it
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    # a check moved to another layer must take its constants' imports with it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):  # a re-export is a use: its name is in __all__
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                used.update(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+                offenders += [f"{path.name} imports {name}" for name in names if name not in used]
+    assert offenders == []
+
+
 def test_public_surface_is_the_production_names():
     assert set(polysum.__all__) == PRODUCTION_NAMES | {"__version__"}
     assert len(polysum.__all__) == len(PRODUCTION_NAMES) + 1
