@@ -12,13 +12,17 @@ Every linear combination is one routine, add_all: multiples c*p, given as
 pairs (c, p), and monomials a/d*x^k, the triples (k, a, d) that
 expr_parser.lower reads, go over one lcm of the denominators into one int
 row, with one reduction.  p + q, p - q, -p and p.scale(c) are its cases.
-Evaluation at t = p/q is int work with one Fraction at the end: Horner over
-chunks of terms, as many as keep the powers of the point near 2^_CHUNK_BITS,
-then the chunk values combined pairwise (Estrin's scheme), so that at a large
-point the big products are balanced.  A Horner step is one multiply-add per
-nonzero numerator, so the zero numerators, nearly half of S_n's row, cost no
-product.  At a rational point the powers of q are built once per call and
-scale each chunk's numerators; an int point needs none.  A power strips the
+Evaluation at t = p/q is int work with one Fraction at the end.  The row
+splits into chunks of terms, as many as keep the powers of the point near
+2^_CHUNK_BITS, and the chunk values combine pairwise (Estrin's scheme), so
+that at a large point the big products are balanced.  At an int point of more
+than one chunk, with numerators narrower than the point, the powers of p up to
+a chunk's length are built once per call and each chunk is one dot product of
+its numerators with them (Paterson and Stockmeyer's baby steps), so every
+product is a narrow numerator times a power.  Any other chunk is a Horner
+pass, one multiply-add per nonzero numerator, so the zero numerators, nearly
+half of S_n's row, cost no product.  At a rational point the powers of q are
+built once per call and scale each chunk's numerators.  A power strips the
 base's low-order zeros, so the base is x^k * a with a(0) != 0, computes a^e
 by J. C. P. Miller's recurrence on the int numerators, one coefficient from
 the ones before it by exact divisions, and shifts the result by k*e over the
@@ -52,12 +56,17 @@ __all__ = ["Polynomial"]
 
 Scalar = Fraction | int
 
-# Polynomial._at runs Horner over chunks whose powers of the point stay
-# near 2^_CHUNK_BITS, then combines the chunk values pairwise.  Swept over
-# 4096, 8192 and 16384 on an in-process replay of 8 warm_eval blocks (480
-# queries; Python 3.11.7, 2 vCPUs): 1.24x, 1.22x and 1.20x the ops/s of one
-# Horner pass, with the median query 5%, 3% and 2.5% slower.  At 8192 the
-# median queries, a few thousand bits in all, stay one chunk.
+# Polynomial._at splits a row into chunks whose powers of the point stay
+# near 2^_CHUNK_BITS, then combines the chunk values pairwise.  With Horner
+# leaves alone, swept over 4096, 8192 and 16384 on an in-process replay of 8
+# warm_eval blocks (480 queries; Python 3.11.7, 2 vCPUs): 1.24x, 1.22x and
+# 1.20x the ops/s of one Horner pass, with the median query 5%, 3% and 2.5%
+# slower.  At 8192 the median queries, a few thousand bits in all, stay one
+# chunk.  With dot-product leaves, 12288 and 16384 ran that replay in 0.84x
+# and 0.85x the time of Horner leaves at 8192, against 0.88x at 8192, but the
+# rows that keep Horner leaves lost: S_999 at a 300-digit point 1.17x at
+# 12288; S_200 at a 20/20-digit rational 1.6x and a degree-200 product at a
+# 20-digit point 1.3x at 16384, where they become one chunk.  So 8192 stays.
 _CHUNK_BITS = 8192
 
 
@@ -232,27 +241,43 @@ class Polynomial(Record):
 
     def _at(self, t: Scalar) -> tuple[int, int]:
         """The value at t = p/q as an int numerator over a positive int
-        denominator, not reduced, by Estrin's scheme over Horner chunks
+        denominator, not reduced, by Estrin's scheme over chunks of terms
         (Knuth, TAOCP vol. 2, 4.6.4).
 
         For n numerators and a point of bits = max(bit lengths of p and q),
         the row splits into k = n * bits // _CHUNK_BITS + 1 chunks of
         b = ceil(n / k) terms, the top one perhaps fewer, so p^b and q^b stay
-        near 2^_CHUNK_BITS.  At a rational point q^0..q^(b-1) are built once,
-        and a chunk of s terms scales its numerator of x^j by q^(s-1-j), so
-        it is homogeneous of degree s - 1 in p and q; at an int point the
-        numerators go in as they are.  Each chunk is then a Horner pass in p
-        from its top numerator down, one multiply-add per nonzero numerator:
-        after a run of e zeros the next nonzero numerator multiplies acc by
-        p^(e+1), as p, p^2 (computed once) or p ** (e + 1), and the chunk's
-        low end pays p^e for its low-order zeros.  The chunk values then
-        combine pairwise, low * q^r + high * p^s for a low value of s terms
-        and a high one of r terms; the top value of an odd level moves up
-        alone, and p^s and q^s are squared between levels.  The last value
-        is the numerator over q^(n-1) that one Horner pass over all n terms
-        gives.  A point below 2^(_CHUNK_BITS / n) is one chunk, that one
-        pass.  At a larger point the products of the upper levels are
-        balanced, so CPython multiplies them by Karatsuba.
+        near 2^_CHUNK_BITS.
+
+        The leaves are dot products at an int point of k > 1 chunks whose
+        numerators are all at most (k - 1) / k as wide as the point
+        (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973): the baby steps
+        p^0..p^(b-1) are built once, each chunk's value is the C-level sum of
+        c_j * p^j over its numerators, and p^b is the last step times p.  For
+        numerators of C bits and a point of B, a chunk costs about C*B*b^2/2
+        bit-products that way and B^2*b^2/2 by Horner, whose accumulator
+        grows by B bits a step; the steps cost one Horner chunk, shared by
+        the k chunks, so the test is k * C <= (k - 1) * B.  Every other row
+        keeps Horner leaves: a one-chunk point, where the steps alone cost the
+        Horner pass; wider numerators, where the dot products lose 2-4x; and
+        a rational point, whose steps p^j * q^(b-1-j) are all full width.
+
+        At a rational point q^0..q^(b-1) are built once, and a chunk of s
+        terms scales its numerator of x^j by q^(s-1-j), so it is homogeneous
+        of degree s - 1 in p and q; at an int point the numerators go in as
+        they are.  A Horner leaf is a pass in p from the chunk's top
+        numerator down, one multiply-add per nonzero numerator: after a run
+        of e zeros the next nonzero numerator multiplies acc by p^(e+1), as
+        p, p^2 (computed once) or p ** (e + 1), and the chunk's low end pays
+        p^e for its low-order zeros.
+
+        The chunk values then combine pairwise, low * q^r + high * p^s for a
+        low value of s terms and a high one of r terms; the top value of an
+        odd level moves up alone, and p^s and q^s are squared between levels.
+        The last value is the numerator over q^(n-1) that one Horner pass over
+        all n terms gives.  A point below 2^(_CHUNK_BITS / n) is one chunk,
+        that one pass.  At a larger point the products of the upper levels
+        are balanced, so CPython multiplies them by Karatsuba.
         """
         if not isinstance(t, (int, Fraction)):
             t = Fraction(t)
@@ -261,28 +286,36 @@ class Polynomial(Record):
         if not nums:
             return 0, 1
         n = len(nums)
-        k = n * (abs(p) | q).bit_length() // _CHUNK_BITS + 1  # chunks
+        bits = (abs(p) | q).bit_length()
+        k = n * bits // _CHUNK_BITS + 1  # chunks
         b = -(-n // k)  # terms per chunk, the top one perhaps fewer
-        p2 = p * p  # the step over one zero numerator, as S_n's rows take
-        if q != 1:
-            qpow = list(accumulate(repeat(q, b - 1), mul, initial=1))  # q^0..q^(b-1)
-        values = []
-        for lo in range(0, n, b):
-            chunk = nums[lo : lo + b]
-            terms = reversed(chunk)
+        dot = False  # dot-product leaves: an int point of k > 1 chunks, narrow numerators
+        if k > 1 and q == 1:
+            cap = 1 << (k - 1) * bits // k  # |c| < cap: k * width <= (k - 1) * bits
+            dot = -cap < min(nums) and max(nums) < cap
+        if dot:
+            steps = list(accumulate(repeat(p, b - 1), mul, initial=1))  # p^0..p^(b-1)
+            values = [sum(map(mul, nums[lo : lo + b], steps)) for lo in range(0, n, b)]
+        else:
+            p2 = p * p  # the step over one zero numerator, as S_n's rows take
             if q != 1:
-                terms = map(mul, terms, qpow)  # c_j * q^(s-1-j) in a chunk of s terms
-            acc, e = next(terms), 0  # e: zero numerators since the last nonzero one
-            for c in terms:
-                if c:
-                    acc = acc * (p if not e else p2 if e == 1 else p ** (e + 1)) + c
-                    e = 0
-                else:
-                    e += 1
-            values.append(acc * p**e if e else acc)
+                qpow = list(accumulate(repeat(q, b - 1), mul, initial=1))  # q^0..q^(b-1)
+            values = []
+            for lo in range(0, n, b):
+                terms = reversed(nums[lo : lo + b])
+                if q != 1:
+                    terms = map(mul, terms, qpow)  # c_j * q^(s-1-j) in a chunk of s terms
+                acc, e = next(terms), 0  # e: zero numerators since the last nonzero one
+                for c in terms:
+                    if c:
+                        acc = acc * (p if not e else p2 if e == 1 else p ** (e + 1)) + c
+                        e = 0
+                    else:
+                        e += 1
+                values.append(acc * p**e if e else acc)
         if len(values) > 1:
-            span, top = b, len(chunk)  # terms behind each value, and behind the top one
-            ps, qs = p**b, q**b
+            span, top = b, n - (len(values) - 1) * b  # terms behind each value, and the top one
+            ps, qs = steps[-1] * p if dot else p**b, q**b
             while True:
                 high = values.pop()
                 if len(values) % 2:  # the top value pairs with the one below it

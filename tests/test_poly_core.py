@@ -217,29 +217,71 @@ def chunked(terms: int) -> int:
     return (1 << (poly._CHUNK_BITS // terms - 2)) + 1
 
 
+# At chunked(4) the point has 2047 bits, so 8 terms are two chunks and the
+# dot-product leaves take numerators below 2^1023; WIDE's keep Horner leaves.
+WIDE = [10**3000 + k for k in range(12)]
+WIDE_WITH_ZEROS = [0, 0, *WIDE[:6], 0, 0, 0, 0, *WIDE[6:]]
+
+
 @property_settings
 @given(st.one_of(rows, long_rows), eval_points)
 @example([], Fraction(1, 3))
 @example([0, 0, 1], Fraction(-2, 10**25))
 @example([], chunked(4))  # the zero polynomial at a wide point
-@example([5, -1, Fraction(2, 3), 7], chunked(4))  # exactly one chunk
+@example([5, -1, Fraction(2, 3), 7], chunked(4))  # exactly one chunk, a Horner pass
+# dot-product leaves: narrow numerators at an int point of several chunks
+@example(list(range(1, 9)), chunked(4))  # 4 + 4
 @example([5, -1, Fraction(2, 3), 7, 2], chunked(4))  # 3 + 2: a short top chunk
-@example(list(range(1, 13)), -chunked(4))  # three chunks: an odd level
+@example(list(range(1, 13)), -chunked(4))  # three chunks: an odd level, a negative point
 @example([Fraction(k, 3) for k in range(-9, 10)], chunked(4))  # 4 + 4 + 4 + 4 + 3
-@example([Fraction(k, 7) for k in range(-9, 10)], Fraction(chunked(4), 3 * 10**20))  # rational
-@example([2**64 - k for k in range(40)], Fraction(-chunked(3), 2**70 + 1))  # 13 * 3 + 1
-# zero numerators cost no product: after e of them the step is p^(e+1)
-@example([1, 0, 2, 0, 0, 0, 3, 0, 0, 4], chunked(10))  # one chunk: steps of p^3, p^4 and p^2
 @example([1, 2, 3, 4, 5, 6, 0, 0, 0, 0, 11, 12], chunked(4))  # 4 + 4 + 4, zeros across a boundary
 @example([1, 2, 3, 0, 5, 6, 7, 8, 9, 10, 11, 12], -chunked(4))  # the low chunk's top is zero
+@example([2**1023 - 1, *range(7)], chunked(4))  # the widest numerator under the cap
+# Horner leaves at several chunks: wide numerators, or a rational point
+@example([-(2**1023), *range(7)], chunked(4))  # |c| at the cap
+@example(WIDE, chunked(4))  # 4 + 4 + 4
+@example(WIDE_WITH_ZEROS, -chunked(4))  # zeros across a boundary, a negative point
+@example([Fraction(k, 7) for k in range(-9, 10)], Fraction(chunked(4), 3 * 10**20))
+@example([2**64 - k for k in range(40)], Fraction(-chunked(3), 2**70 + 1))  # 13 * 3 + 1
+@example([0, 3, 0, 0, -1, 0, 5, 0, 0, 0, 2], Fraction(-chunked(4), 3**500))  # 3 chunks
+# zero numerators cost a Horner pass no product: after e of them the step is p^(e+1)
+@example([1, 0, 2, 0, 0, 0, 3, 0, 0, 4], chunked(10))  # one chunk: steps of p^3, p^4 and p^2
 @example([0, 0, Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)], chunked(5))  # S_3: ends owing p^2
-@example([0, 3, 0, 0, -1, 0, 5, 0, 0, 0, 2], Fraction(-chunked(4), 3**500))  # rational, 3 chunks
 @example([0, 0, 1, 0, 0, 0, 2, 0, -3], 0)
 @example([1, 0, 0, 0, -2, 0, 3, 0, 0, 5], -1)
 def test_evaluation_matches_reference(a, t):
     value = Polynomial(a)(t)
     assert isinstance(value, Fraction)
     assert value == ref_eval(ref(a), Fraction(t))
+
+
+@pytest.mark.parametrize(
+    "a, t, leaf, chunks",
+    [
+        (list(range(1, 13)), -chunked(4), "dot", 3),
+        ([2**1023 - 1, *range(7)], chunked(4), "dot", 2),
+        ([-(2**1023), *range(7)], chunked(4), "horner", 2),
+        (WIDE_WITH_ZEROS, -chunked(4), "horner", 5),
+        ([Fraction(k, 7) for k in range(-9, 10)], Fraction(chunked(4), 3 * 10**20), "horner", 5),
+        ([5, -1, Fraction(2, 3), 7], chunked(4), "horner", 1),
+    ],
+)
+def test_evaluation_takes_the_leaves_its_rule_names(monkeypatch, a, t, leaf, chunks):
+    """A dot-product leaf calls poly's sum once and a Horner leaf its
+    reversed once, so counting both names the leaves each case took."""
+    calls = {"dot": 0, "horner": 0}
+
+    def counted(kind, fn):
+        def call(*args):
+            calls[kind] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(poly, "sum", counted("dot", sum), raising=False)
+    monkeypatch.setattr(poly, "reversed", counted("horner", reversed), raising=False)
+    assert Polynomial(a)(t) == ref_eval(ref(a), Fraction(t))
+    assert calls == {"dot": 0, "horner": 0, leaf: chunks}
 
 
 # ---------------------------------------------------------------------------
