@@ -113,7 +113,7 @@ def cli_test_argvs() -> list[list[str]]:
     tree = ast.parse((TESTS / "test_cli.py").read_text(encoding="utf-8"))
     messages = set()  # the rows of tables with a message column
     for node in ast.walk(tree):
-        if getattr(node, "func", None) and getattr(node.func, "attr", None) == "parametrize":
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "parametrize":
             if "message" in ast.literal_eval(node.args[0]):
                 messages.update(id(row) for row in node.args[1].elts)
     found = []
