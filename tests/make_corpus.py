@@ -10,8 +10,8 @@ JSON) and on the WIDE_SUMMANDS over ranges with a 60-digit bound, each
 verify suite at small bounds, and every argument list written out in
 tests/test_cli.py, its error commands among them.  rows.jsonl maps
 texts to their lowered (numerators, denominator), or to the ParseError
-message and offset: the SUMMANDS, every string constant in tests/ and the
-benchmark's three summand shapes at a few degrees.
+message and offset: the SUMMANDS, every string constant in tests/ but the
+docstrings, and the benchmark's three summand shapes at a few degrees.
 
 An output whose JSON text is over 4 kB is stored as its SHA-256 and length.
 argparse's own errors keep only the exit code and stdout, since argparse's
@@ -174,11 +174,18 @@ def summand_shapes() -> list[str]:
 
 
 def texts() -> list[str]:
+    """The SUMMANDS, the summand shapes and every string constant in tests/
+    other than a docstring, so rewording one changes no row."""
     constants = set(SUMMANDS + summand_shapes())
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(TESTS.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
+        docstrings = {id(node.body[0].value) for node in nodes
+                      if isinstance(node, scopes) and ast.get_docstring(node) is not None}
+        for node in nodes:
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                constants.add(node.value)
+                if id(node) not in docstrings:
+                    constants.add(node.value)
     return sorted(constants)
 
 
