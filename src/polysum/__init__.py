@@ -24,7 +24,6 @@ from .basis import from_rising_basis, to_rising_basis
 from .expr_parser import ParseError, lower, parse, parse_polynomial
 from .poly import Polynomial
 from .powersum import (
-    FactoredPowerSum,
     PowerSumCoefficients,
     coefficients,
     power_sum_closed_form,
@@ -43,7 +42,6 @@ __all__ = [
     "sum_polynomial",
     "sum_range",
     "PowerSumCoefficients",
-    "FactoredPowerSum",
     "coefficients",
     "power_sum_closed_form",
     "power_sum_factored_form",

@@ -63,32 +63,22 @@ def _cmd_closed_form(args: argparse.Namespace) -> tuple[int, dict, object]:
     n = args.n
     if n == 0:
         raise ValueError("n must be >= 1; the n = 0 sum is m itself: polysum sum --expr 1")
-    if args.factored:
-        form = power_sum_factored_form(n)
-        text = form.render()
-        payload = {
-            "mode": "closed_form",
-            "n": n,
-            "format": "factored",
-            "variable": "m",
-            "rendering": text,
-            "sign": form.sign,
-            "prefactor": form.prefactor,
-            "inner_constant": form.inner_constant,
-            "inner_terms": [
-                {"length": i, "coefficient": c}
-                for i, c in form.inner_coeffs
-            ],
-        }
-    else:
-        text = power_sum_closed_form(n)
-        payload = {
-            "mode": "closed_form",
-            "n": n,
-            "format": "expanded",
-            "variable": "m",
-            "polynomial": text,
-        }
+    payload = {
+        "mode": "closed_form",
+        "n": n,
+        "format": "factored" if args.factored else "expanded",
+        "variable": "m",
+    }
+    if not args.factored:
+        text = payload["polynomial"] = power_sum_closed_form(n)
+        return 0, payload, text
+    form = power_sum_factored_form(n)
+    a_1, *rest = form.coeffs
+    text = payload["rendering"] = form.render()
+    payload["sign"] = (-1) ** n
+    payload["prefactor"] = Polynomial((0, 1, 1))  # m*(m+1)
+    payload["inner_constant"] = a_1
+    payload["inner_terms"] = [{"length": i, "coefficient": c} for i, c in enumerate(rest, 2)]
     return 0, payload, text
 
 

@@ -14,10 +14,12 @@ in one int row over one denominator, and checks, on every call,
 w_n = 1/(n+1) and S_n(1) = 1, which is sum w_i (i+1)!.  power_sum_closed_form
 hands the row to summation.close, the step that assembles and checks every
 closed form, here with f = m^n.  coefficients(n) makes the paper's a_i, the
-row times (-1)^n, as Fractions, for the factored form too.
-For n >= 3 the common factor m(m+1) can be pulled out, giving the factored form
+row times (-1)^n, as Fractions, and that record is the factored form: with
+a_1 = -1/2 the common factor m(m+1) comes out, giving
 
-    S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)).
+    S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)),
+
+which power_sum_factored_form offers for n >= 3, where there is an inner sum.
 
 The paper's literal sum and the Bernoulli-number formula are test oracles in
 tests/reference.py, which does not ship in the package.
@@ -32,12 +34,11 @@ from operator import mul
 
 from .basis import alternating_sums
 from .expr_parser import MAX_DEGREE
-from .poly import ONE, Polynomial, Record, add_all, join_terms, lowest_terms
+from .poly import Polynomial, Record, add_all, join_terms, lowest_terms
 from .summation import _count, close
 
 __all__ = [
     "PowerSumCoefficients",
-    "FactoredPowerSum",
     "coefficients",
     "power_sum_closed_form",
     "power_sum_factored_form",
@@ -46,7 +47,10 @@ __all__ = [
 
 
 class PowerSumCoefficients(Record):
-    """Weights a_1..a_n of the rising-factorial expansion of S_n.
+    """Weights a_1..a_n of the rising-factorial expansion of S_n, and with
+    them S_n's factored form:
+
+        S_n(m) = (-1)^n * m(m+1) * (a_1 + sum_{i=2..n} a_i (m+2)...(m+i)).
 
     coeffs[i-1] = a_i multiplies m(m+1)...(m+i).  Always a_1 = -1/2 and
     a_n = (-1)^n/(n+1).
@@ -59,6 +63,22 @@ class PowerSumCoefficients(Record):
         if not 1 <= i <= self.n:
             raise ValueError(f"coefficient index must be in 1..{self.n} (got {i})")
         return self.coeffs[i - 1]
+
+    def expand(self) -> Polynomial:
+        """Multiply the factored form out; equals power_sum_closed_form(n)."""
+        parts, product = [], Polynomial((0, (-1) ** self.n))  # (-1)^n m
+        for i, c in enumerate(self.coeffs, start=1):
+            product = product * Polynomial((i, 1))  # (-1)^n m(m+1)...(m+i)
+            parts.append((c, product))
+        return add_all(parts)
+
+    def render(self, var: str = "m") -> str:
+        """Display form keeping the factored structure, e.g. for n=3:
+        -m*(m+1)*(-1/2 + (m+2) - 1/4*(m+2)*(m+3))."""
+        factors = [f"({var}+{k})" for k in range(2, self.n + 1)]
+        terms = [(c, "*".join(factors[:i])) for i, c in enumerate(self.coeffs)]
+        sign = "-" if self.n % 2 else ""
+        return f"{sign}{var}*({var}+1)*({join_terms(terms)})"
 
 
 def _weights(n: int) -> tuple[list[int], int]:
@@ -101,43 +121,12 @@ def power_sum_closed_form(n: int) -> Polynomial:
     return close(Polynomial.monomial(1, n), row, den)
 
 
-class FactoredPowerSum(Record):
-    """S_n for n >= 3 in the factored shape
-    sign * m(m+1) * (inner_constant + sum a_i (m+2)...(m+i)), where
-    prefactor is m(m+1) and inner_coeffs holds the pairs (i, a_i), i = 2..n."""
-
-    __slots__ = ("n", "sign", "prefactor", "inner_constant", "inner_coeffs")
-
-    def expand(self) -> Polynomial:
-        """Multiply the factored shape out; equals power_sum_closed_form(n)."""
-        parts, product = [(self.inner_constant, ONE)], ONE
-        for i, c in self.inner_coeffs:
-            product = product * Polynomial((i, 1))  # (m+2)...(m+i)
-            parts.append((c, product))
-        return (self.prefactor * add_all(parts)).scale(self.sign)
-
-    def render(self, var: str = "m") -> str:
-        """Display form keeping the factored structure, e.g. for n=3:
-        -m*(m+1)*(-1/2 + (m+2) - 1/4*(m+2)*(m+3))."""
-        factors = [f"({var}+{k})" for k in range(2, self.n + 1)]
-        terms = [(c, "*".join(factors[: i - 1])) for i, c in self.inner_coeffs]
-        sign = "-" if self.sign < 0 else ""
-        return f"{sign}{var}*({var}+1)*({join_terms([(self.inner_constant, ''), *terms])})"
-
-
-def power_sum_factored_form(n: int) -> FactoredPowerSum:
-    """The factored representation of S_n; requires n >= 3 (for smaller n
+def power_sum_factored_form(n: int) -> PowerSumCoefficients:
+    """S_n's factored form, coefficients(n); requires n >= 3 (for smaller n
     there is no inner sum to factor).  n < 1 is left to _weights, as in the CLI."""
     if 1 <= n < 3:
         raise ValueError(f"the factored form requires n >= 3 (got {n})")
-    a_1, *rest = coefficients(n).coeffs
-    return FactoredPowerSum(
-        n=n,
-        sign=-1 if n % 2 else 1,
-        prefactor=Polynomial((0, 1, 1)),  # m*(m+1)
-        inner_constant=a_1,
-        inner_coeffs=tuple(enumerate(rest, start=2)),
-    )
+    return coefficients(n)
 
 
 def power_sum_value(n: int, m: int) -> int:

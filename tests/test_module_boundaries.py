@@ -26,7 +26,6 @@ PRODUCTION_NAMES = {
     "sum_polynomial",
     "sum_range",
     "PowerSumCoefficients",
-    "FactoredPowerSum",
     "coefficients",
     "power_sum_closed_form",
     "power_sum_factored_form",

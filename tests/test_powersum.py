@@ -11,7 +11,7 @@ from polysum.basis import from_rising_row
 from polysum.expr_parser import parse_polynomial
 from polysum.poly import Polynomial
 from polysum.powersum import (
-    FactoredPowerSum,
+    PowerSumCoefficients,
     coefficients,
     power_sum_closed_form,
     power_sum_factored_form,
@@ -178,21 +178,14 @@ def test_factored_form_requires_three():
 
 
 def test_factored_render_skips_a_zero_coefficient():
-    form = FactoredPowerSum(
-        n=4,
-        sign=1,
-        prefactor=M_TIMES_M_PLUS_1,
-        inner_constant=Fraction(-1, 2),
-        inner_coeffs=((2, Fraction(0)), (3, Fraction(1, 5)), (4, Fraction(-1, 5))),
-    )
+    form = PowerSumCoefficients(4, (Fraction(-1, 2), Fraction(0), Fraction(1, 5), Fraction(-1, 5)))
     assert form.render() == "m*(m+1)*(-1/2 + 1/5*(m+2)*(m+3) - 1/5*(m+2)*(m+3)*(m+4))"
 
 
 def test_factored_form_cubic():
     form = power_sum_factored_form(3)
-    assert form.sign == -1
-    assert form.prefactor == M_TIMES_M_PLUS_1
-    assert form.inner_constant == Fraction(-1, 2)
+    assert form == coefficients(3)
+    assert form.coeffs[0] == Fraction(-1, 2)
     assert form.render() == "-m*(m+1)*(-1/2 + (m+2) - 1/4*(m+2)*(m+3))"
     assert form.expand()(1) == 1
     assert form.expand()(2) == 9
@@ -203,11 +196,14 @@ def test_factored_form_quartic_value():
 
 
 def test_factored_form_expands_to_closed_form():
-    for n in range(3, 16):
-        assert power_sum_factored_form(n).expand() == power_sum_closed_form(n)
+    # the identity holds from n = 1; only power_sum_factored_form asks n >= 3
+    for n in range(1, 16):
+        assert coefficients(n).expand() == power_sum_closed_form(n)
 
 
 def test_printed_factored_form_parses_to_the_closed_form():
+    for n in (1, 2):
+        assert parse_polynomial(coefficients(n).render("x")) == power_sum_closed_form(n)
     for n in range(3, 61):
         assert parse_polynomial(power_sum_factored_form(n).render("x")) == power_sum_closed_form(n)
 

@@ -1,4 +1,4 @@
-"""The value classes (the six expression-tree nodes and the three public
+"""The value classes (the six expression-tree nodes and the two public
 records) keep the semantics of frozen dataclasses: construction by position
 or keyword, equality and hashing by class and fields, the dataclass repr,
 and immutability."""
@@ -14,7 +14,6 @@ import pytest
 
 from polysum import (
     ClosedFormSum,
-    FactoredPowerSum,
     PowerSumCoefficients,
     Polynomial,
     parse,
@@ -35,11 +34,6 @@ CASES = [
     (Mul, ((X, ONE),), ((X, X),)),
     (Pow, (X, 2), (X, 3)),
     (PowerSumCoefficients, (2, (Fraction(-1, 2), Fraction(1, 3))), (2, (Fraction(-1, 2),))),
-    (
-        FactoredPowerSum,
-        (3, -1, Polynomial((0, 1, 1)), Fraction(-1, 2), ((2, 1), (3, Fraction(-1, 4)))),
-        (3, 1, Polynomial((0, 1, 1)), Fraction(-1, 2), ((2, 1), (3, Fraction(-1, 4)))),
-    ),
     (ClosedFormSum, (Polynomial((0, 1)), 0), (Polynomial((0, 2)), 0)),
 ]
 IDS = [cls.__name__ for cls, _, _ in CASES]
@@ -100,14 +94,6 @@ def test_public_records_keep_their_field_names():
     assert (closed.poly, closed.source_degree) == (Polynomial((0, 1)), 0)
     coeffs = PowerSumCoefficients(n=1, coeffs=(Fraction(-1, 2),))
     assert (coeffs.n, coeffs.coeffs) == (1, (Fraction(-1, 2),))
-    form = power_sum_factored_form(3)
-    assert FactoredPowerSum(
-        n=form.n,
-        sign=form.sign,
-        prefactor=form.prefactor,
-        inner_constant=form.inner_constant,
-        inner_coeffs=form.inner_coeffs,
-    ) == form
 
 
 def test_repr_is_the_frozen_dataclass_repr():
@@ -117,9 +103,7 @@ def test_repr_is_the_frozen_dataclass_repr():
         "Var(name='x'), Lit(value=Fraction(1, 1)))), exponent=3))), Neg(operand=Var(name='x'))))"
     )
     assert repr(power_sum_factored_form(3)) == (
-        "FactoredPowerSum(n=3, sign=-1, prefactor=Polynomial([Fraction(0, 1), Fraction(1, 1), "
-        "Fraction(1, 1)]), inner_constant=Fraction(-1, 2), inner_coeffs=((2, Fraction(1, 1)), "
-        "(3, Fraction(-1, 4))))"
+        "PowerSumCoefficients(n=3, coeffs=(Fraction(-1, 2), Fraction(1, 1), Fraction(-1, 4)))"
     )
 
 
