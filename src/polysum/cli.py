@@ -4,7 +4,9 @@ All numeric output is exact decimal text; nothing is ever rendered through
 floating point.  Commands hand their exact values to main, which turns them
 into text once; a number past Python's int-string digit limit is a usage
 error there, as is every ValueError: the library call that does the work
-checks its own bounds, once, and the CLI only reports them.  With --json,
+checks its own bounds, once, and the CLI only reports them.  Library and CLI
+word an int bound alike, through poly.check_int: "--max-n must be <= 300
+(got 301)".  With --json,
 each command emits a single JSON object whose exact-arithmetic values are
 decimal strings; a usage error or a failed self-check (an ArithmeticError)
 also prints {"error": message} on stdout, with the byte "offset" when
@@ -25,7 +27,7 @@ import os
 import sys
 
 from .expr_parser import ParseError, parse_polynomial
-from .poly import Polynomial
+from .poly import Polynomial, check_int
 from .powersum import _weights, power_sum_closed_form, power_sum_factored_form, power_sum_value
 from .summation import sum_polynomial, sum_range
 
@@ -36,13 +38,6 @@ __all__ = ["main"]
 MAX_M = 10**5
 # Largest verify --max-n; the divisibility suite builds S_1 .. S_max-n.
 MAX_VERIFY_N = 300
-
-
-def _check_range(name: str, value: int, lo: int, hi: int) -> None:
-    if value < lo:
-        raise ValueError(f"{name} must be >= {lo} (got {value})")
-    if value > hi:
-        raise ValueError(f"{name} must be <= {hi} (got {value})")
 
 
 def _int(text: str) -> int:
@@ -160,13 +155,10 @@ _SUITES = {"identities": _identities, "oracle": _oracle, "divisibility": _divisi
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict, object]:
-    _check_range("--max-n", args.max_n, 1, MAX_VERIFY_N)
-    _check_range("--max-m", args.max_m, 1, MAX_M)
-    work = args.max_m * args.max_n
-    if args.suite in ("oracle", "all") and work > MAX_M:
-        raise ValueError(
-            f"--max-m * --max-n must be <= {MAX_M} for the oracle suite (got {work})"
-        )
+    check_int("--max-n", args.max_n, 1, MAX_VERIFY_N)
+    check_int("--max-m", args.max_m, 1, MAX_M)
+    if args.suite in ("oracle", "all"):
+        check_int("--max-m * --max-n for the oracle suite", args.max_m * args.max_n, hi=MAX_M)
     names = _SUITES if args.suite == "all" else [args.suite]
     results = [{"name": name, "passed": 0, "total": 0, "failures": []} for name in names]
     # one pass over n, so each S_n is built once however many suites run

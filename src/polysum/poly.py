@@ -131,9 +131,7 @@ class Polynomial(Record):
     def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> Polynomial:
         """The polynomial sum_j numerators[j] x^j / denominator, for a positive
         int denominator."""
-        if denominator <= 0:
-            raise ValueError(f"the denominator must be positive (got {denominator})")
-        return _canonical(list(numerators), denominator)
+        return _canonical(list(numerators), check_int("the denominator", denominator, 1))
 
     @classmethod
     def constant(cls, c: Scalar) -> Polynomial:
@@ -141,8 +139,7 @@ class Polynomial(Record):
 
     @classmethod
     def monomial(cls, coeff: Scalar, power: int) -> Polynomial:
-        if power < 0:
-            raise ValueError(f"monomial power must be >= 0 (got {power})")
+        power = check_int("monomial power", power, 0)
         c = coeff if isinstance(coeff, int) else Fraction(coeff)
         return _canonical([0] * power + [c.numerator], c.denominator)
 
@@ -499,3 +496,16 @@ def join_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
         return "0"
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
+
+
+def check_int(name: str, value: int, lo: int | None = None, hi: int | None = None) -> int:
+    """value, the int argument name, checked before any work: TypeError unless
+    it is an int, ValueError unless lo <= value <= hi (None is no bound), so
+    every entry point words its bounds alike, e.g. "n must be <= 1000 (got 1001)"."""
+    if not isinstance(value, int):
+        raise TypeError(f"{name} must be an int (got {type(value).__name__})")
+    if lo is not None and value < lo:
+        raise ValueError(f"{name} must be >= {lo} (got {value})")
+    if hi is not None and value > hi:
+        raise ValueError(f"{name} must be <= {hi} (got {value})")
+    return value

@@ -19,7 +19,10 @@ a_1 = -1/2 the common factor m(m+1) comes out, giving
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)),
 
-which power_sum_factored_form offers for n >= 3, where there is an inner sum.
+which power_sum_factored_form offers for n >= 3, where there is an inner sum,
+and expand multiplies out through basis.from_rising_basis, the assembly
+kernel.  n and m are checked by poly.check_int before any work, so a non-int
+is a TypeError and a bound reads "n must be <= 1000 (got 1001)".
 
 The paper's literal sum and the Bernoulli-number formula are test oracles in
 tests/reference.py, which does not ship in the package.
@@ -32,10 +35,10 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .basis import alternating_sums
+from .basis import alternating_sums, from_rising_basis
 from .expr_parser import MAX_DEGREE
-from .poly import Polynomial, Record, add_all, join_terms, lowest_terms
-from .summation import _count, close
+from .poly import Polynomial, Record, check_int, join_terms, lowest_terms
+from .summation import close
 
 __all__ = [
     "PowerSumCoefficients",
@@ -60,17 +63,13 @@ class PowerSumCoefficients(Record):
 
     def coefficient(self, i: int) -> Fraction:
         """a_i, 1-based, for 1 <= i <= n."""
-        if not 1 <= i <= self.n:
-            raise ValueError(f"coefficient index must be in 1..{self.n} (got {i})")
-        return self.coeffs[i - 1]
+        return self.coeffs[check_int("coefficient index", i, 1, self.n) - 1]
 
     def expand(self) -> Polynomial:
-        """Multiply the factored form out; equals power_sum_closed_form(n)."""
-        parts, product = [], Polynomial((0, (-1) ** self.n))  # (-1)^n m
-        for i, c in enumerate(self.coeffs, start=1):
-            product = product * Polynomial((i, 1))  # (-1)^n m(m+1)...(m+i)
-            parts.append((c, product))
-        return add_all(parts)
+        """Multiply the factored form out; equals power_sum_closed_form(n).
+        a_i weighs the rising product m(m+1)...(m+i) of length i + 1."""
+        sign = (-1) ** self.n
+        return from_rising_basis((0, 0, *[sign * c for c in self.coeffs]))
 
     def render(self, var: str = "m") -> str:
         """Display form keeping the factored structure, e.g. for n=3:
@@ -85,11 +84,8 @@ def _weights(n: int) -> tuple[list[int], int]:
     """S_n's weights w_0..w_n on m(m+1)...(m+i), w_0 = 0 and w_i = (-1)^n a_i,
     each by the defining sum, as one int row over one denominator;
     ArithmeticError unless w_n = 1/(n+1) and S_n(1) = 1.  Every entry point's
-    one check of 1 <= n <= MAX_DEGREE, a ValueError before any work."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1 (got {n})")
-    if n > MAX_DEGREE:
-        raise ValueError(f"n must be <= {MAX_DEGREE} (got {n})")
+    one check of an int 1 <= n <= MAX_DEGREE, by check_int, before any work."""
+    check_int("n", n, 1, MAX_DEGREE)
     sums = alternating_sums([(-k) ** n for k in range(n + 1)])
     row, den = lowest_terms(sums, list(accumulate(range(1, n + 2), mul)))  # over (i+1)!
     if row[-1] * (n + 1) != den:
@@ -122,9 +118,10 @@ def power_sum_closed_form(n: int) -> Polynomial:
 
 
 def power_sum_factored_form(n: int) -> PowerSumCoefficients:
-    """S_n's factored form, coefficients(n); requires n >= 3 (for smaller n
-    there is no inner sum to factor).  n < 1 is left to _weights, as in the CLI."""
-    if 1 <= n < 3:
+    """S_n's factored form, coefficients(n); requires an int n >= 3 (for
+    smaller n there is no inner sum to factor).  n < 1 is left to _weights, as
+    in the CLI."""
+    if 1 <= check_int("n", n) < 3:
         raise ValueError(f"the factored form requires n >= 3 (got {n})")
     return coefficients(n)
 
@@ -136,7 +133,7 @@ def power_sum_value(n: int, m: int) -> int:
     form always takes integer values at integers; a non-integer result would
     mean the construction itself is broken, so it raises rather than rounding.
     """
-    _count(m)  # before the build, which an invalid m must not pay for
+    check_int("m", m, 0)  # before the build, which an invalid m must not pay for
     num, den = power_sum_closed_form(n)._at(m)
     value, rest = divmod(num, den)  # one division in place of a Fraction's gcd
     if rest:

@@ -17,6 +17,10 @@ basis.from_rising_row, and checks it on the int rows: g(1) = f(1) and the
 leading term lc(f)/(n+1) m^(n+1).  Every closed form has zero constant term
 (g is divisible by m).  The tests check the closed forms against
 brute_force_sum in tests/reference.py, which does not ship in the package.
+
+value_at's m and sum_range's bounds go through poly.check_int before any
+work: a non-int is a TypeError, and a bound past its limit a ValueError named
+by the parameters, e.g. "m must be >= 0 (got -1)".
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .basis import from_rising_row, to_rising_row
-from .poly import Polynomial, Record, lowest_terms
+from .poly import Polynomial, Record, check_int, lowest_terms
 
 __all__ = [
     "ClosedFormSum",
@@ -53,17 +57,7 @@ class ClosedFormSum(Record):
         Negative or non-integer m has no summation meaning and raises, as in
         power_sum_value; self.poly(m) evaluates the polynomial there anyway.
         """
-        return self.poly(_count(m))
-
-
-def _count(m: int) -> int:
-    """m, the count of terms of a sum over 1..m; TypeError unless m is an int,
-    ValueError if it is negative."""
-    if not isinstance(m, int):
-        raise TypeError(f"m must be an int (got {type(m).__name__})")
-    if m < 0:
-        raise ValueError(f"m must be >= 0 (got {m})")
-    return m
+        return self.poly(check_int("m", m, 0))
 
 
 def sum_polynomial(f: Polynomial) -> ClosedFormSum:
@@ -98,16 +92,10 @@ def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:
     the 1..m semantics.  TypeError unless both bounds are ints; ValueError,
     before any work, if lo > hi or the size bound MAX_SUM_BITS is passed.
     """
-    for name, bound in (("lo", lo), ("hi", hi)):
-        if not isinstance(bound, int):
-            raise TypeError(f"{name} must be an int (got {type(bound).__name__})")
-    if lo > hi:
+    if check_int("lo", lo) > check_int("hi", hi):
         raise ValueError(f"empty range: lo={lo} > hi={hi}")
     bits = (f.degree + 1) * max(abs(lo - 1), abs(hi)).bit_length()
-    if bits > MAX_SUM_BITS:
-        raise ValueError(
-            f"--lo/--hi too large for degree {f.degree}: (degree + 1) * bit length of "
-            f"max(|lo - 1|, |hi|) must be <= {MAX_SUM_BITS} (got {bits})"
-        )
+    name = f"(degree + 1) * bit length of max(|lo - 1|, |hi|) at degree {f.degree}"
+    check_int(name, bits, hi=MAX_SUM_BITS)
     g = sum_polynomial(f).poly
     return g(hi) - g(lo - 1)

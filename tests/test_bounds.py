@@ -1,6 +1,6 @@
 """Each library entry point checks its own bounds before any work, with the
-text the CLI prints: a call one past a bound raises ValueError, and a call at
-the bound gets as far as the work."""
+text the CLI prints: a call one past a bound raises ValueError, a call at the
+bound gets as far as the work, and a non-int argument raises TypeError."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from polysum.powersum import (
     power_sum_factored_form,
     power_sum_value,
 )
-from polysum.summation import sum_range
+from polysum.summation import ClosedFormSum, sum_range
 
 
 class Reached(Exception):
@@ -34,8 +34,8 @@ def no_work(monkeypatch):
 
 def too_large(bits: int) -> str:
     return (
-        "--lo/--hi too large for degree 1000: (degree + 1) * bit length of "
-        f"max(|lo - 1|, |hi|) must be <= 1048576 (got {bits})"
+        "(degree + 1) * bit length of max(|lo - 1|, |hi|) at degree 1000 "
+        f"must be <= 1048576 (got {bits})"
     )
 
 
@@ -73,11 +73,24 @@ CASES = [
     (sum_range, (X_1000, 1, 10**4000), too_large(1001 * 13288)),
 ]
 
+# (function, arguments, message): one non-int argument each, refused before any work
+NON_INT_CASES = [
+    (power_sum_closed_form, (2.5,), "n must be an int (got float)"),
+    (coefficients, ("3",), "n must be an int (got str)"),
+    (power_sum_factored_form, (2.5,), "n must be an int (got float)"),
+    (power_sum_value, (2.5, 3), "n must be an int (got float)"),
+    (Polynomial.monomial, (1, 2.0), "monomial power must be an int (got float)"),
+    (Polynomial.from_numerators, ((1,), 2.0), "the denominator must be an int (got float)"),
+    (ClosedFormSum(Polynomial((0, 1)), 0).value_at, (1.5,), "m must be an int (got float)"),
+    (sum_range, (X_1000, 1.0, 2), "lo must be an int (got float)"),
+]
+
 
 def case_id(case) -> str:
     call, args, message = case
     shown = ", ".join(
         "x^1000" if isinstance(a, Polynomial)
+        else repr(a) if not isinstance(a, int)
         else f"{'-' * (a < 0)}<{a.bit_length()} bits>" if abs(a) > 10**6 else str(a)
         for a in args
     )
@@ -93,3 +106,12 @@ def test_a_call_past_a_bound_raises_before_any_work(call, args, message):
         with pytest.raises(ValueError) as info:
             call(*args)
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    ("call", "args", "message"), NON_INT_CASES, ids=[case_id(c) for c in NON_INT_CASES]
+)
+def test_a_non_int_argument_raises_type_error_before_any_work(call, args, message):
+    with pytest.raises(TypeError) as info:
+        call(*args)
+    assert str(info.value) == message

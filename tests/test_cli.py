@@ -365,7 +365,10 @@ def test_sum_past_the_size_bound_is_usage_error(capsys, monkeypatch):
     hi = "9" * 4000  # 13,288 bits, times degree + 1 = 1001
     code, out, err = run_cli(capsys, "--json", "sum", "--expr", "x^1000", "--lo", "1", "--hi", hi)
     assert code == 2
-    assert err.startswith("error: --lo/--hi too large") and f"<= {MAX_SUM_BITS}" in err
+    assert err == (
+        "error: (degree + 1) * bit length of max(|lo - 1|, |hi|) at degree 1000 "
+        f"must be <= {MAX_SUM_BITS} (got {1001 * 13288})\n"
+    )
     assert json.loads(out) == {"error": err[len("error: "):].rstrip("\n")}
 
 

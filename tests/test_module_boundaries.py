@@ -90,6 +90,22 @@ def test_no_module_imports_a_name_it_never_uses():
     assert offenders == []
 
 
+def test_no_library_module_imports_a_private_name():
+    # a helper two library modules share lives in poly, the module every one
+    # imports; only the CLI reaches into another module's private names
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level or node.module == "polysum"):
+                offenders += [
+                    f"{path.name} imports {node.module}.{alias.name}"
+                    for alias in node.names if alias.name.startswith("_")
+                ]
+    assert offenders == []
+
+
 def test_public_surface_is_the_production_names():
     assert set(polysum.__all__) == PRODUCTION_NAMES | {"__version__"}
     assert len(polysum.__all__) == len(PRODUCTION_NAMES) + 1
