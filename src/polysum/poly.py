@@ -206,7 +206,7 @@ class Polynomial(Record):
         ArithmeticError unless that is the base's leading numerator ** exponent.
         """
         if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial power must be a nonnegative int (got {exponent})")
+            raise ValueError(f"polynomial power must be a nonnegative int (got {shown(exponent)})")
         if not exponent:
             return ONE
         nums = self.numerators
@@ -216,8 +216,8 @@ class Polynomial(Record):
         row = _miller(nums[k:], exponent)
         if row[-1] != nums[-1] ** exponent:
             raise ArithmeticError(
-                f"Miller's recurrence gave the leading numerator {row[-1]}, "
-                f"not {nums[-1]}^{exponent}"
+                f"Miller's recurrence gave the leading numerator {shown(row[-1])}, "
+                f"not {shown(nums[-1])}^{exponent}"
             )
         return _canonical([0] * (k * exponent) + row, self.denominator**exponent)
 
@@ -326,25 +326,6 @@ class Polynomial(Record):
                 ps *= ps
                 qs *= qs
         return values[0], self.denominator * q ** (n - 1)
-
-    def divide_exact(self, divisor: Polynomial) -> tuple[Polynomial, Polynomial]:
-        """Euclidean division: return (quotient, remainder), by one long
-        division over the coefficients as Fractions, top power first.
-
-        The remainder is exposed so callers can assert divisibility
-        (remainder zero) rather than trusting it.
-        """
-        if not isinstance(divisor, Polynomial):
-            raise TypeError("divisor must be a Polynomial")
-        if not divisor:
-            raise ZeroDivisionError("division by the zero polynomial")
-        rem, div = list(self.coeffs), divisor.coeffs
-        quot = []  # from the top power down
-        while len(rem) >= len(div):
-            quot.append(rem.pop() / div[-1])
-            for j, d in enumerate(div[:-1], len(rem) + 1 - len(div)):
-                rem[j] -= quot[-1] * d
-        return Polynomial(quot[::-1]), Polynomial(rem)
 
     def render(self, var: str = "m") -> str:
         """Canonical display form, the terms by join_terms from the top power
@@ -501,11 +482,23 @@ def join_terms(terms: Iterable[tuple[Scalar, str]]) -> str:
 def check_int(name: str, value: int, lo: int | None = None, hi: int | None = None) -> int:
     """value, the int argument name, checked before any work: TypeError unless
     it is an int, ValueError unless lo <= value <= hi (None is no bound), so
-    every entry point words its bounds alike, e.g. "n must be <= 1000 (got 1001)"."""
+    every entry point words its bounds alike, e.g. "n must be <= 1000 (got 1001)",
+    the value quoted by shown."""
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int (got {type(value).__name__})")
     if lo is not None and value < lo:
-        raise ValueError(f"{name} must be >= {lo} (got {value})")
+        raise ValueError(f"{name} must be >= {lo} (got {shown(value)})")
     if hi is not None and value > hi:
-        raise ValueError(f"{name} must be <= {hi} (got {value})")
+        raise ValueError(f"{name} must be <= {hi} (got {shown(value)})")
     return value
+
+
+def shown(x: Scalar) -> str:
+    """str(x), or x's size where Python refuses its decimal form, past
+    sys.get_int_max_str_digits(): "<a 16610-bit number>", the bits of the wider
+    of numerator and denominator.  So a message never fails on the number it
+    quotes, e.g. "m must be >= 0 (got <a 16610-bit number>)"."""
+    try:
+        return str(x)
+    except ValueError:
+        return f"<a {max(x.numerator.bit_length(), x.denominator.bit_length())}-bit number>"

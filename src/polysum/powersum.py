@@ -19,10 +19,10 @@ a_1 = -1/2 the common factor m(m+1) comes out, giving
 
     S_n(m) = (-1)^n * m(m+1) * (-1/2 + sum_{i=2..n} a_i (m+2)(m+3)...(m+i)),
 
-which power_sum_factored_form offers for n >= 3, where there is an inner sum,
-and expand multiplies out through basis.from_rising_basis, the assembly
-kernel.  n and m are checked by poly.check_int before any work, so a non-int
-is a TypeError and a bound reads "n must be <= 1000 (got 1001)".
+which power_sum_factored_form offers for n >= 3, where there is an inner sum;
+its render parses back to power_sum_closed_form(n).  n and m are checked by
+poly.check_int before any work, so a non-int is a TypeError and a bound reads
+"n must be <= 1000 (got 1001)".
 
 The paper's literal sum and the Bernoulli-number formula are test oracles in
 tests/reference.py, which does not ship in the package.
@@ -35,9 +35,9 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import mul
 
-from .basis import alternating_sums, from_rising_basis
+from .basis import alternating_sums
 from .expr_parser import MAX_DEGREE
-from .poly import Polynomial, Record, check_int, join_terms, lowest_terms
+from .poly import Polynomial, Record, check_int, join_terms, lowest_terms, shown
 from .summation import close
 
 __all__ = [
@@ -64,12 +64,6 @@ class PowerSumCoefficients(Record):
     def coefficient(self, i: int) -> Fraction:
         """a_i, 1-based, for 1 <= i <= n."""
         return self.coeffs[check_int("coefficient index", i, 1, self.n) - 1]
-
-    def expand(self) -> Polynomial:
-        """Multiply the factored form out; equals power_sum_closed_form(n).
-        a_i weighs the rising product m(m+1)...(m+i) of length i + 1."""
-        sign = (-1) ** self.n
-        return from_rising_basis((0, 0, *[sign * c for c in self.coeffs]))
 
     def render(self, var: str = "m") -> str:
         """Display form keeping the factored structure, e.g. for n=3:
@@ -138,6 +132,6 @@ def power_sum_value(n: int, m: int) -> int:
     value, rest = divmod(num, den)  # one division in place of a Fraction's gcd
     if rest:
         raise ArithmeticError(
-            f"closed form for n={n} returned non-integer {Fraction(num, den)} at m={m}"
+            f"closed form for n={n} gave non-integer {shown(Fraction(num, den))} at m={shown(m)}"
         )
     return value

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .basis import from_rising_row, to_rising_row
-from .poly import Polynomial, Record, check_int, lowest_terms
+from .poly import Polynomial, Record, check_int, lowest_terms, shown
 
 __all__ = [
     "ClosedFormSum",
@@ -75,10 +75,10 @@ def close(f: Polynomial, shifted: list[int], den: int) -> Polynomial:
     g = from_rising_row([0, *shifted], den)
     fn, gn, n = f.numerators, g.numerators, f.degree
     if sum(gn) * f.denominator != sum(fn) * g.denominator:
-        raise ArithmeticError(f"the closed form at m=1 is {g(1)}, not f(1) = {f(1)}")
+        raise ArithmeticError(f"the closed form at m=1 is {shown(g(1))}, not f(1) = {shown(f(1))}")
     if fn and (g.degree != n + 1 or gn[-1] * (n + 1) * f.denominator != fn[-1] * g.denominator):
         raise ArithmeticError(
-            f"the closed form's leading term {g.leading_coefficient}*m^{g.degree} "
+            f"the closed form's leading term {shown(g.leading_coefficient)}*m^{g.degree} "
             f"is not lc(f)/(n+1) * m^(n+1) for n={n}"
         )
     return g
@@ -93,7 +93,7 @@ def sum_range(f: Polynomial, lo: int, hi: int) -> Fraction:
     before any work, if lo > hi or the size bound MAX_SUM_BITS is passed.
     """
     if check_int("lo", lo) > check_int("hi", hi):
-        raise ValueError(f"empty range: lo={lo} > hi={hi}")
+        raise ValueError(f"empty range: lo={shown(lo)} > hi={shown(hi)}")
     bits = (f.degree + 1) * max(abs(lo - 1), abs(hi)).bit_length()
     name = f"(degree + 1) * bit length of max(|lo - 1|, |hi|) at degree {f.degree}"
     check_int(name, bits, hi=MAX_SUM_BITS)

@@ -99,7 +99,7 @@ def row_case(text: str) -> dict:
 
 def readme_commands() -> list[list[str]]:
     readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
-    return [shlex.split(line)[2:] for line in re.findall(r"^\$ (polysum .*)$", readme, re.M)]
+    return [shlex.split(line)[1:] for line in re.findall(r"^\$ (polysum .*)$", readme, re.M)]
 
 
 def cli_test_argvs() -> list[list[str]]:

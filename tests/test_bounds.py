@@ -4,6 +4,8 @@ bound gets as far as the work, and a non-int argument raises TypeError."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 import polysum.powersum
@@ -113,5 +115,27 @@ def test_a_call_past_a_bound_raises_before_any_work(call, args, message):
 )
 def test_a_non_int_argument_raises_type_error_before_any_work(call, args, message):
     with pytest.raises(TypeError) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
+# 10^5000 is past Python's int-to-string digit limit (4300 digits by default),
+# so a message quotes its size, not its digits, and keeps the bound's own words
+HUGE = 10**5000
+HUGE_SHOWN = "<a 16610-bit number>"
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="int-string limit disabled")
+@pytest.mark.parametrize(
+    ("call", "args", "message"),
+    [
+        (power_sum_value, (3, -HUGE), f"m must be >= 0 (got {HUGE_SHOWN})"),
+        (sum_range, (X_1000, HUGE, 1), f"empty range: lo={HUGE_SHOWN} > hi=1"),
+        (pow, (X_1000, -HUGE), f"polynomial power must be a nonnegative int (got {HUGE_SHOWN})"),
+    ],
+    ids=["power_sum_value", "sum_range", "pow"],
+)
+def test_a_bound_quotes_a_value_past_the_digit_limit_by_its_size(call, args, message):
+    with pytest.raises(ValueError) as info:
         call(*args)
     assert str(info.value) == message

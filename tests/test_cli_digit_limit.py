@@ -1,6 +1,8 @@
 """CLI behaviour at Python's int-string digit limit (sys.get_int_max_str_digits,
 4300 by default): an over-long literal or exact result is a usage error
-(exit 2, one "error:" line), never a traceback.  The limit is not changed."""
+(exit 2, one "error:" line), never a traceback, and a failed self-check that
+quotes an over-long value stays a failed self-check (exit 1).  The limit is
+not changed."""
 
 from __future__ import annotations
 
@@ -10,6 +12,7 @@ import sys
 import pytest
 
 from conftest import run_cli
+from polysum.poly import Polynomial
 
 LIMIT = sys.get_int_max_str_digits()
 
@@ -58,6 +61,21 @@ def test_overlong_symbolic_coefficient_is_usage_error(capsys, before, after):
     else:
         assert out == ""
     assert "PYTHONINTMAXSTRDIGITS" in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_failed_self_check_on_a_huge_form_exits_one(capsys, monkeypatch, json_flag):
+    # the assembly adds m, so g(1) = f(1) fails; f(1) = (10^40 + 1)^120 is past the
+    # limit, so the message quotes sizes and the failure stays a failed self-check
+    import polysum.summation as summation_module
+
+    real = summation_module.from_rising_row
+    x = Polynomial((0, 1))
+    monkeypatch.setattr(summation_module, "from_rising_row", lambda row, den: real(row, den) + x)
+    code, out, err = run_cli(capsys, *json_flag, "sum", "--expr", f"({10**40}x+1)^120")
+    message = "the closed form at m=1 is <a 15946-bit number>, not f(1) = <a 15946-bit number>"
+    assert (code, err) == (1, f"error: {message}\n")
+    assert out == (json.dumps({"error": message}) + "\n" if json_flag else "")
 
 
 def test_value_just_inside_the_limit_is_printed(capsys):

@@ -61,36 +61,11 @@ def test_eval_takes_any_fraction_argument(t):
         lambda p: p * None,
         lambda p: None * p,
         lambda p: "a" * p,
-        lambda p: p.divide_exact(3),
     ],
 )
 def test_operations_with_a_non_polynomial_are_type_errors(operation):
     with pytest.raises(TypeError):
         operation(Polynomial((1, 2)))
-
-
-def test_divide_exact_examples():
-    q, r = Polynomial((0, 1, 1)).divide_exact(X)
-    assert (q, r) == (Polynomial((1, 1)), Polynomial())
-    q, r = Polynomial((1, 0, 1)).divide_exact(X)
-    assert (q, r) == (X, Polynomial((1,)))
-    # (2m^3 + 3m^2 + m)/6 divided by m(m+1) leaves (2m+1)/6 exactly
-    s2 = Polynomial((0, Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)))
-    q, r = s2.divide_exact(Polynomial((0, 1, 1)))
-    assert q == Polynomial((Fraction(1, 6), Fraction(1, 3)))
-    assert not r
-    # a divisor of higher degree leaves the dividend as the remainder
-    q, r = Polynomial((1, 2)).divide_exact(Polynomial((0, 0, 1)))
-    assert (q, r) == (Polynomial(), Polynomial((1, 2)))
-    assert Polynomial().divide_exact(X) == (Polynomial(), Polynomial())
-    # a constant divisor scales, with no remainder
-    q, r = Polynomial((3, 6, Fraction(9, 2))).divide_exact(Polynomial((Fraction(3, 2),)))
-    assert (q, r) == (Polynomial((2, 4, 3)), Polynomial())
-
-
-def test_divide_by_zero_polynomial():
-    with pytest.raises(ZeroDivisionError):
-        X.divide_exact(Polynomial())
 
 
 def test_rising_factorial_basis_poly():
@@ -122,18 +97,6 @@ def test_eval_is_ring_homomorphism():
         t = random_rational(rng, 20, 20)
         assert (p * q)(t) == p(t) * q(t)
         assert (p + q)(t) == p(t) + q(t)
-
-
-def test_divide_exact_reconstructs_dividend():
-    rng = random.Random(20240803)
-    for _ in range(60):
-        p = random_polynomial(rng, max_degree=8, max_num=20, max_den=20)
-        d = random_polynomial(rng, max_degree=4, max_num=20, max_den=20)
-        if not d:
-            continue
-        q, r = p.divide_exact(d)
-        assert q * d + r == p
-        assert r.degree < d.degree
 
 
 def test_degree_of_product_adds():
