@@ -75,14 +75,15 @@ class Record:
     __slots__, set by position or keyword, equality by class and fields, and
     a frozen dataclass's repr, e.g. Pow(base=Var(name='x'), exponent=2).
 
-    A subclass without its own __init__ gets one made from its __slots__, a
-    parameter and one object.__setattr__ per field, as a frozen dataclass's
-    is; Python's own checks reject a missing, extra or unknown field."""
+    A subclass without its own __new__ gets an __init__ made from its
+    __slots__, a parameter and one object.__setattr__ per field, as a frozen
+    dataclass's is; Python's own checks reject a missing, extra or unknown
+    field."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        if "__init__" in cls.__dict__:
+        if "__new__" in cls.__dict__:
             return  # Polynomial, which takes coefficients
         names = cls.__slots__  # identifiers, already checked by Python
         body = "".join([f"\n    object_setattr(self, {name!r}, {name})" for name in names])
@@ -123,9 +124,9 @@ class Polynomial(Record):
     numerators: tuple[int, ...]
     denominator: int
 
-    def __init__(self, coeffs: Iterable[Scalar] = ()):
+    def __new__(cls, coeffs: Iterable[Scalar] = ()):
         cs = [c if isinstance(c, int) else Fraction(c) for c in coeffs]
-        _init(self, *over_common_denominator(cs))
+        return _canonical(*over_common_denominator(cs))
 
     @classmethod
     def from_numerators(cls, numerators: Iterable[int], denominator: int = 1) -> Polynomial:
@@ -160,7 +161,7 @@ class Polynomial(Record):
 
     def coefficient(self, power: int) -> Fraction:
         """Coefficient of x^power (0 beyond the stored degree)."""
-        if 0 <= power < len(self.numerators):
+        if 0 <= check_int("power", power) < len(self.numerators):
             return Fraction(self.numerators[power], self.denominator)
         return Fraction(0)
 
@@ -205,10 +206,8 @@ class Polynomial(Record):
         a word and carry the error up to the leading numerator, so
         ArithmeticError unless that is the base's leading numerator ** exponent.
         """
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial power must be a nonnegative int (got {shown(exponent)})")
-        if not exponent:
-            return ONE
+        if not check_int("polynomial power", exponent, 0):
+            return _canonical([1], 1)
         nums = self.numerators
         if not nums:
             return self
@@ -364,22 +363,18 @@ def add_all(parts: Sequence[tuple], monomials: Sequence[tuple] = ()) -> Polynomi
     return _canonical(acc, den)
 
 
-def _init(p: Polynomial, nums: list[int], den: int) -> None:
-    """Set p to the int row nums over den > 0, trimmed and reduced."""
+def _canonical(nums: list[int], den: int) -> Polynomial:
+    """The polynomial of the int row nums over den > 0, trimmed and reduced:
+    the one place a Polynomial is made."""
     while nums and not nums[-1]:
         nums.pop()
     g = gcd(den, *nums)
     if g != 1:
         nums = [a // g for a in nums]
         den //= g
+    p = object.__new__(Polynomial)
     object.__setattr__(p, "numerators", tuple(nums))
     object.__setattr__(p, "denominator", den)
-
-
-def _canonical(nums: list[int], den: int) -> Polynomial:
-    """The polynomial of the int row nums over den > 0."""
-    p = object.__new__(Polynomial)
-    _init(p, nums, den)
     return p
 
 
@@ -457,10 +452,6 @@ def _pack(row: Sequence[int], width: int) -> int:
     pos = b"".join([c.to_bytes(width, "little") if c > 0 else zero for c in row])
     neg = b"".join([(-c).to_bytes(width, "little") if c < 0 else zero for c in row])
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-
-# Shared constant; defined after the class so construction is available.
-ONE = Polynomial((1,))
 
 
 def join_terms(terms: Iterable[tuple[Scalar, str]]) -> str:

@@ -11,7 +11,8 @@ verify suite at small bounds, and every argument list written out in
 tests/test_cli.py, its error commands among them.  rows.jsonl maps
 texts to their lowered (numerators, denominator), or to the ParseError
 message and offset: the SUMMANDS, every string constant in tests/ but the
-docstrings, and the benchmark's three summand shapes at a few degrees.
+docstrings and the literal pieces of f-strings, and the benchmark's three
+summand shapes at a few degrees.
 
 An output whose JSON text is over 4 kB is stored as its SHA-256 and length.
 argparse's own errors keep only the exit code and stdout, since argparse's
@@ -28,7 +29,6 @@ import hashlib
 import io
 import json
 import random
-import re
 import shlex
 import sys
 from fractions import Fraction
@@ -36,6 +36,7 @@ from pathlib import Path
 
 from polysum.cli import main
 from polysum.expr_parser import ParseError, parse_polynomial
+from test_docs import readme_cli_examples
 
 TESTS = Path(__file__).resolve().parent
 CORPUS = TESTS / "corpus"
@@ -97,11 +98,6 @@ def row_case(text: str) -> dict:
     return {"text": text, "row": stored([list(p.numerators), p.denominator])}
 
 
-def readme_commands() -> list[list[str]]:
-    readme = (TESTS.parent / "README.md").read_text(encoding="utf-8")
-    return [shlex.split(line)[1:] for line in re.findall(r"^\$ (polysum .*)$", readme, re.M)]
-
-
 def cli_test_argvs() -> list[list[str]]:
     """Each argument list written out in tests/test_cli.py as string literals:
     a run_cli call's arguments, or a list or tuple that starts with a command
@@ -135,7 +131,7 @@ def cli_test_argvs() -> list[list[str]]:
 
 
 def commands() -> list[list[str]]:
-    argvs = readme_commands() + cli_test_argvs()
+    argvs = [shlex.split(command)[1:] for command, _ in readme_cli_examples()] + cli_test_argvs()
     for n in range(1, 41):
         n = str(n)
         argvs += [["closed-form", "--n", n], ["--json", "closed-form", "--n", n],
@@ -175,16 +171,19 @@ def summand_shapes() -> list[str]:
 
 def texts() -> list[str]:
     """The SUMMANDS, the summand shapes and every string constant in tests/
-    other than a docstring, so rewording one changes no row."""
+    but the docstrings, so rewording one changes no row, and the literal
+    pieces of f-strings, such as " (got ", which nothing parses."""
     constants = set(SUMMANDS + summand_shapes())
     scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
     for path in sorted(TESTS.glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text(encoding="utf-8"))))
-        docstrings = {id(node.body[0].value) for node in nodes
-                      if isinstance(node, scopes) and ast.get_docstring(node) is not None}
+        skipped = {id(node.body[0].value) for node in nodes
+                   if isinstance(node, scopes) and ast.get_docstring(node) is not None}
+        skipped.update(id(piece) for node in nodes if isinstance(node, ast.JoinedStr)
+                       for piece in node.values)
         for node in nodes:
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
-                if id(node) not in docstrings:
+                if id(node) not in skipped:
                     constants.add(node.value)
     return sorted(constants)
 

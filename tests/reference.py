@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from polysum.expr_parser import Add, Lit, Mul, Neg, Pow, PolyExpr, Var
-from polysum.poly import ONE, Polynomial
+from polysum.poly import Polynomial
 
 __all__ = [
     "brute_force_sum",
@@ -59,7 +59,7 @@ def rising_factorial_basis_poly(i: int) -> Polynomial:
     reference for the incremental products of basis.from_rising_basis."""
     if i < 1:
         raise ValueError(f"rising factorial length must be >= 1 (got {i})")
-    product = ONE
+    product = Polynomial((1,))
     for offset in range(i):
         product = product * Polynomial((offset, 1))
     return product

@@ -85,6 +85,8 @@ NON_INT_CASES = [
     (Polynomial.from_numerators, ((1,), 2.0), "the denominator must be an int (got float)"),
     (ClosedFormSum(Polynomial((0, 1)), 0).value_at, (1.5,), "m must be an int (got float)"),
     (sum_range, (X_1000, 1.0, 2), "lo must be an int (got float)"),
+    (pow, (X_1000, 2.5), "polynomial power must be an int (got float)"),
+    (X_1000.coefficient, (1.5,), "power must be an int (got float)"),
 ]
 
 
@@ -131,7 +133,7 @@ HUGE_SHOWN = "<a 16610-bit number>"
     [
         (power_sum_value, (3, -HUGE), f"m must be >= 0 (got {HUGE_SHOWN})"),
         (sum_range, (X_1000, HUGE, 1), f"empty range: lo={HUGE_SHOWN} > hi=1"),
-        (pow, (X_1000, -HUGE), f"polynomial power must be a nonnegative int (got {HUGE_SHOWN})"),
+        (pow, (X_1000, -HUGE), f"polynomial power must be >= 0 (got {HUGE_SHOWN})"),
     ],
     ids=["power_sum_value", "sum_range", "pow"],
 )

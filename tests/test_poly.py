@@ -19,6 +19,17 @@ def test_trailing_zeros_trimmed():
     assert Polynomial(()).coeffs == ()
 
 
+@pytest.mark.parametrize(
+    "p", [Polynomial(), Polynomial((3, 0, -2)), Polynomial((Fraction(1, 2), 0, Fraction(-2, 3)))]
+)
+def test_repr_evaluates_back_to_the_polynomial(p):
+    assert eval(repr(p)) == p
+
+
+def test_string_and_float_coefficients_are_read_as_fractions():
+    assert Polynomial(["1/2", 0.25]) == Polynomial((Fraction(1, 2), Fraction(1, 4)))
+
+
 def test_zero_polynomial_degree_marker():
     zero = Polynomial()
     assert not zero
